@@ -14,7 +14,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import ConvexityViolation, DomainExceeded
 from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask
 
-_CHUNK = 4096
+_BLOCK = 1 << 21  # floats in one temporary block of the row-blocked kernels
 
 
 def _directions(ndim):
@@ -125,18 +125,26 @@ def default_dual_domain(f: ExtGridFn) -> GridDomain:
     return GridDomain(c - half, c + half, shape)
 
 
-def _pairing_max(targets, sources, charges, chunk=_CHUNK):
-    """max over j of <targets_i, sources_j> - charges_j, chunked over i."""
-    out = np.empty(targets.shape[0])
-    for start in range(0, targets.shape[0], chunk):
-        block = targets[start:start + chunk]
-        out[start:start + chunk] = (block @ sources.T - charges).max(axis=1)
-    return out
+def _by_rows(count, width, block):
+    """block(i, j) for rows i:j of `count`, in blocks of about _BLOCK / width
+    rows so no temporary exceeds _BLOCK floats; results are stacked."""
+    rows = max(1, _BLOCK // width)
+    return np.concatenate([block(i, i + rows) for i in range(0, count, rows)])
 
 
-def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None,
-             method: str = "direct") -> ExtGridFn:
-    """Discrete convex conjugate: f*(y) = max over finite cells of <y,x> - f(x)."""
+def _pairing_max(targets, sources, charges):
+    """max over j of <targets_i, sources_j> - charges_j."""
+    return _by_rows(targets.shape[0], sources.shape[0],
+                    lambda i, j: (targets[i:j] @ sources.T - charges).max(axis=1))
+
+
+def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
+    """Discrete convex conjugate: f*(y) = max over finite cells of <y,x> - f(x).
+
+    The grid is a product, so the maximum factors axis by axis: each pass
+    maximises <y_a, x_a> + p over one axis of p = -f. +inf cells carry a
+    -inf sentinel, so they drop out of every later maximum.
+    """
     if dual_domain is None:
         dual_domain = default_dual_domain(f)
     else:
@@ -147,43 +155,16 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None,
                           stacklevel=2)
     if dual_domain.ndim != f.domain.ndim:
         raise ValueError("dual domain dimension mismatch")
-    fin = f.finite_mask.ravel()
-    if not np.any(fin):
+    if not np.any(f.finite_mask):
         raise ValueError("conjugate of an improper function")
-    if method == "direct":
-        pts = f.domain.points()[fin]
-        vals = f.values.ravel()[fin]
-        out = _pairing_max(dual_domain.points(), pts, vals)
-        return ExtGridFn(dual_domain, out.reshape(dual_domain.shape))
-    if method == "factored":
-        return _legendre_factored(f, dual_domain)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _legendre_factored(f: ExtGridFn, dual_domain: GridDomain) -> ExtGridFn:
-    """Axis-by-axis partial conjugation; agrees with the direct max.
-
-    Works on p = -f so every pass is max over x of <y,x> + p; lines that are
-    entirely +inf carry a -inf sentinel and drop out of later maxima.
-    """
     vals = np.where(f.finite_mask, -f.values, -np.inf)
-    n = f.domain.ndim
-    axes_x = f.domain.axes()
-    axes_y = dual_domain.axes()
-    for a in range(n):
-        v = np.moveaxis(vals, a, -1)
-        flat = v.reshape(-1, v.shape[-1])
-        pair = np.multiply.outer(axes_y[a], axes_x[a])   # (My, Nx)
-        out = np.full((flat.shape[0], axes_y[a].size), -np.inf)
-        for r in range(flat.shape[0]):
-            row = flat[r]
-            ok = np.isfinite(row)
-            if np.any(ok):
-                out[r] = (pair[:, ok] + row[ok]).max(axis=1)
-        res = out.reshape(v.shape[:-1] + (axes_y[a].size,))
-        vals = np.moveaxis(res, -1, a)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("conjugate of an improper function")
+    for a, (xa, ya) in enumerate(zip(f.domain.axes(), dual_domain.axes())):
+        pair = np.multiply.outer(ya, xa)
+        lines = np.moveaxis(vals, a, -1)
+        flat = lines.reshape(-1, xa.size)
+        out = _by_rows(flat.shape[0], pair.size,
+                       lambda i, j: (flat[i:j, None, :] + pair).max(axis=2))
+        vals = np.moveaxis(out.reshape(lines.shape[:-1] + (ya.size,)), -1, a)
     return ExtGridFn(dual_domain, vals)
 
 
@@ -228,14 +209,20 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
         raise ConvexityViolation("input must be discretely convex")
     L = 1.0 / r
     fin = f.finite_mask.ravel()
+    if not np.any(fin):
+        raise ValueError("regularization of an improper function")
     src = f.domain.points()[fin]
     vals = f.values.ravel()[fin]
     tgt = f.domain.points()
-    out = np.empty(tgt.shape[0])
-    for start in range(0, tgt.shape[0], _CHUNK):
-        block = tgt[start:start + _CHUNK]
-        d = np.linalg.norm(block[:, None, :] - src[None, :, :], axis=2)
-        out[start:start + _CHUNK] = (vals + L * d).min(axis=1)
+
+    def block(i, j):
+        # squares summed axis by axis, in the order np.linalg.norm adds them
+        sq = (tgt[i:j, 0, None] - src[:, 0]) ** 2
+        for a in range(1, src.shape[1]):
+            sq += (tgt[i:j, a, None] - src[:, a]) ** 2
+        return (vals + L * np.sqrt(sq)).min(axis=1)
+
+    out = _by_rows(tgt.shape[0], src.shape[0], block)
     return ExtGridFn(f.domain, out.reshape(f.domain.shape))
 
 
@@ -322,8 +309,9 @@ def _box_mask(domain: GridDomain, lo, hi):
     return m
 
 
-def _lower_hull_planes(pts, vals):
-    """Affine minorants from the lower convex hull of the lifted samples.
+def _lower_hull_planes(pts, vals, edge):
+    """Affine minorants from the lower convex hull of the lifted samples,
+    kept only for facets with a vertex where the mask `edge` is set.
 
     Returns (slopes, offsets); each plane is x -> slopes[j] @ x + offsets[j].
     Falls back to a single shifted least-squares plane for affinely
@@ -334,7 +322,7 @@ def _lower_hull_planes(pts, vals):
     try:
         hull = ConvexHull(lifted)
         eq = hull.equations  # normal . p + off = 0
-        lower = eq[:, n] < -1e-12
+        lower = (eq[:, n] < -1e-12) & edge[hull.simplices].any(axis=1)
         if not np.any(lower):
             raise QhullError("no lower facets")
         nrm = eq[lower, :n + 1]
@@ -379,9 +367,16 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
     if not is_discretely_convex(sub):
         raise ConvexityViolation("f must be discretely convex on the source box")
 
+    # Only facets with a vertex on the box boundary can be the largest plane
+    # outside the box. Take x outside, any lower facet F with plane P, a point
+    # z of F and the point b where the segment from z to x leaves the box. The
+    # facet containing b has a vertex on the box face through b; its plane Q
+    # touches the envelope at b while P touches it at z. Q - P is affine along
+    # the segment, <= 0 at z and >= 0 at b, so Q(x) >= P(x) beyond b.
     pts_in = dom.points()[box.ravel()]
     vals_in = f.values[box]
-    slopes, offsets = _lower_hull_planes(pts_in, vals_in)
+    edge = ~_interior_mask(sub.domain.shape).ravel()
+    slopes, offsets = _lower_hull_planes(pts_in, vals_in, edge)
     out = np.array(f.values)
     outside = ~box
     pts_out = dom.points()[outside.ravel()]

@@ -129,57 +129,54 @@ def load_mask(path) -> ScanMask:
     return ScanMask(domain, marked.astype(bool))
 
 
-def save_valuation_spec(spec, path):
-    """Writes pairing, constant and hessian specs; hessian weights are stored
-    next to the spec file, composite terms reference already-saved files."""
-    base = os.path.splitext(os.path.basename(path))[0]
-    directory = os.path.dirname(os.path.abspath(path))
-    if isinstance(spec, PairingMeasure):
-        obj = {"kind": "pairing",
-               "nodes": [[float(v) for v in row] for row in spec.nodes],
-               "weights": [float(w) for w in spec.weights]}
-    elif isinstance(spec, Constant):
-        obj = {"kind": "constant", "value": float(spec.value)}
-    elif isinstance(spec, HessianDensity):
-        weight_name = base + ".weight.json"
-        save_grid_fn(spec.weight, os.path.join(directory, weight_name))
-        obj = {"kind": "hessian", "k": spec.order, "weight": weight_name,
-               "aux": [np.asarray(a).tolist() for a in spec.aux]}
-    else:
-        raise TypeError("only pairing, constant and hessian specs are saved here")
-    dump_json_atomic(obj, path)
-
-
 def load_valuation_spec(path, check: bool = True):
     """Load a valuation spec; relative references resolve against the file.
 
     With check=True (the default) pairing weights must satisfy both moment
-    conditions at 1e-10; violating specs are refused.
+    conditions at 1e-10; violating specs are refused. Malformed fields and
+    composite specs that reference themselves raise FormatError.
     """
+    return _load_spec(os.path.abspath(path), check, ())
+
+
+def _finite(value):
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite")
+    return arr
+
+
+def _parse(kind, read):
+    """read(), with a missing or malformed field raised as a FormatError."""
+    try:
+        return read()
+    except KeyError as err:
+        raise FormatError(f"{kind} spec missing {err}") from err
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"bad {kind} spec field: {err}") from err
+
+
+def _load_spec(path, check, stack):
+    """Fields are parsed first, so only the checks a built spec makes stay
+    preconditions (ValueError); `stack` holds the composites being loaded."""
+    if path in stack:
+        raise FormatError(f"composite spec cycle through {path}")
     obj = load_json(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    return _spec_from_dict(obj, directory, check)
-
-
-def _spec_from_dict(obj, directory, check):
+    directory = os.path.dirname(path)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("valuation spec needs a 'kind'")
     kind = obj["kind"]
     if kind == "pairing":
-        try:
-            return PairingMeasure(obj["nodes"], obj["weights"], check=check)
-        except KeyError as err:
-            raise FormatError(f"pairing spec missing {err}") from err
+        nodes, weights = _parse(kind, lambda: (_finite(obj["nodes"]),
+                                               _finite(obj["weights"])))
+        return PairingMeasure(nodes, weights, check=check)
     if kind == "constant":
-        if "value" not in obj:
-            raise FormatError("constant spec missing 'value'")
-        return Constant(float(obj["value"]))
+        return Constant(_parse(kind, lambda: float(obj["value"])))
     if kind == "hessian":
-        try:
-            weight = load_grid_fn(os.path.join(directory, obj["weight"]))
-            return HessianDensity(obj["k"], weight, obj.get("aux", ()))
-        except KeyError as err:
-            raise FormatError(f"hessian spec missing {err}") from err
+        order, weight, aux = _parse(kind, lambda: (
+            int(obj["k"]), os.path.join(directory, obj["weight"]),
+            [_finite(a) for a in obj.get("aux", ())]))
+        return HessianDensity(order, load_grid_fn(weight), aux)
     if kind == "composite":
         terms = obj.get("terms")
         if not isinstance(terms, list):
@@ -188,8 +185,8 @@ def _spec_from_dict(obj, directory, check):
         for item in terms:
             if not (isinstance(item, list) and len(item) == 2):
                 raise FormatError("composite terms are [coefficient, file] pairs")
-            coef, ref = item
-            sub = load_valuation_spec(os.path.join(directory, ref), check)
-            loaded.append((float(coef), sub))
+            coef, ref = _parse(kind, lambda: (
+                float(item[0]), os.path.abspath(os.path.join(directory, item[1]))))
+            loaded.append((coef, _load_spec(ref, check, stack + (path,))))
         return Composite(loaded)
     raise FormatError(f"unknown valuation kind {kind!r}")

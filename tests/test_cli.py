@@ -120,6 +120,56 @@ def test_decompose_composite_and_bad_spec(tmp_path, capsys):
     assert not (tmp_path / "nope.csv").exists()
 
 
+def _decompose_rc(tmp_path, capsys, spec):
+    fin = tmp_path / "f.json"
+    write_grid(fin, GridDomain([-2.0], [2.0], [33]), lambda p: 0.5 * p[:, 0] ** 2)
+    out = tmp_path / "parts.csv"
+    rc = main(["decompose", "--spec", str(spec), "--in", str(fin), "--out", str(out)])
+    assert not out.exists()
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refs", [{"self.json": "self.json"},
+                                  {"a.json": "b.json", "b.json": "a.json"}])
+def test_composite_spec_cycle_exit2(tmp_path, capsys, refs):
+    write_mu1(tmp_path / "mu1.json")
+    for name, ref in refs.items():
+        dump_json_atomic({"kind": "composite",
+                          "terms": [[1.0, "mu1.json"], [1.0, ref]]}, tmp_path / name)
+    rc, err = _decompose_rc(tmp_path, capsys, tmp_path / next(iter(refs)))
+    assert rc == 2
+    assert "cycle" in err
+
+
+NODES = [[1.0], [-1.0], [0.0]]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "pairing", "nodes": NODES, "weights": "x"},
+    {"kind": "pairing", "nodes": NODES, "weights": [1.0, None, -2.0]},
+    {"kind": "pairing", "nodes": [[1.0], "x", [0.0]], "weights": [1.0, 1.0, -2.0]},
+    {"kind": "constant", "value": "x"},
+    {"kind": "hessian", "k": "two", "weight": "w.json"},
+    {"kind": "composite", "terms": [["x", "mu1.json"]]},
+])
+def test_malformed_spec_field_exit2(tmp_path, capsys, spec):
+    write_mu1(tmp_path / "mu1.json")
+    save_grid_fn(ExtGridFn(GridDomain([-2.0], [2.0], [33]), np.zeros(33)),
+                 tmp_path / "w.json")
+    dump_json_atomic(spec, tmp_path / "spec.json")
+    rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
+def test_spec_violating_moment_conditions_exit3(tmp_path, capsys):
+    dump_json_atomic({"kind": "pairing", "nodes": NODES, "weights": [1.0, 1.0, -1.0]},
+                     tmp_path / "spec.json")
+    rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
+    assert rc == 3
+    assert "sum(w) = 0" in err
+
+
 def test_gw_diagonality_report(tmp_path, capsys):
     d = GridDomain([-4.0, -4.0], [4.0, 4.0], [49, 49])
     w = Bump([0.0, 0.0], 3.0, 1.0).sample(d)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from epival import (
     Bump,
@@ -109,14 +110,21 @@ def test_legendre_matches_brute_force_and_roundtrips():
         assert err <= 4 * d.spacing[0] * lip
 
 
-def test_legendre_factored_agrees_with_direct():
+def _assert_matches_brute_conjugate(f):
+    dual = default_dual_domain(f)
+    got = legendre(f, dual).values
+    want = brute_conjugate(f, dual).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+def test_legendre_2d_matches_brute_conjugate():
     rng = np.random.default_rng(5)
     d = grid2d(n=17)
     f = random_convex_fn(d, rng)
-    dual = default_dual_domain(f)
-    a = legendre(f, dual, method="direct")
-    b = legendre(f, dual, method="factored")
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * (1 + a.max_abs_finite())
+    _assert_matches_brute_conjugate(f)
+    # +inf outside a disc: whole lines carry the sentinel into the next axis
+    disc = np.linalg.norm(d.points(), axis=1).reshape(d.shape) <= 1.3
+    _assert_matches_brute_conjugate(ExtGridFn(d, np.where(disc, f.values, np.inf)))
 
 
 def test_legendre_order_reversal_exact():
@@ -208,6 +216,17 @@ def test_reg_quadratic_matches_huber_and_brute_force():
     assert np.allclose(reg.values, brute.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(17, 17), (7, 7, 7)])
+def test_reg_matches_brute_inf_convolution_with_inf_cells(shape):
+    d = GridDomain([-1.5] * len(shape), [1.5] * len(shape), list(shape))
+    f = random_convex_fn(d, np.random.default_rng(len(shape)))
+    ball = np.linalg.norm(d.points(), axis=1).reshape(shape) <= 1.1
+    f = ExtGridFn(d, np.where(ball, f.values, np.inf))
+    reg = lipschitz_regularize(f, 0.5)
+    want = brute_inf_convolution(f, 2.0).values
+    assert np.max(np.abs(reg.values - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
 def test_reg_pointwise_bounds_and_monotonicity():
     rng = np.random.default_rng(23)
     d = grid1d(n=65)
@@ -256,6 +275,8 @@ def test_reg_rejects_bad_inputs():
     bad = sample(d, lambda p: -p[:, 0] ** 2)
     with pytest.raises(ConvexityViolation):
         lipschitz_regularize(bad, 1.0)
+    with pytest.raises(ValueError):
+        lipschitz_regularize(ExtGridFn(d, np.full(d.shape, np.inf)), 1.0)
 
 
 # -------------------------------------------------------------- epi distance
@@ -430,6 +451,21 @@ def test_extend_2d_convex_and_exact_inside():
     assert np.all(out.values.ravel() <= bound + 1e-9)
 
 
+def test_extend_2d_matches_all_lower_hull_planes():
+    rng = np.random.default_rng(43)
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [25, 25])
+    f = random_convex_fn(d, rng)
+    A_lo, A_hi, s = np.array([-0.6, -0.4]), np.array([0.5, 0.7]), 0.4
+    out = extend_from_subdomain(f, A_lo, A_hi, s)
+    pts = d.points()
+    box = np.all((pts >= A_lo - s) & (pts <= A_hi + s), axis=1)
+    eq = ConvexHull(np.column_stack([pts[box], f.values.ravel()[box]])).equations
+    eq = eq[eq[:, 2] < -1e-12]
+    full = (pts[~box] @ (-eq[:, :2] / eq[:, 2:3]).T - eq[:, 3] / eq[:, 2]).max(axis=1)
+    got = out.values.ravel()[~box]
+    assert np.max(np.abs(got - full)) <= 1e-12 * (1 + np.max(np.abs(full)))
+
+
 def test_extend_guards():
     d = grid1d(n=17)
     f = quadratic(d)
@@ -524,14 +560,10 @@ def test_convex_split_bump_outputs_convex():
 
 # ------------------------------------------------------------------ 3d paths
 
-def test_legendre_3d_factored_agrees_with_direct():
+def test_legendre_3d_matches_brute_conjugate():
     d = GridDomain([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [9, 9, 9])
     rng = np.random.default_rng(61)
-    f = random_convex_fn(d, rng)
-    dual = default_dual_domain(f)
-    a = legendre(f, dual, method="direct")
-    b = legendre(f, dual, method="factored")
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * (1 + a.max_abs_finite())
+    _assert_matches_brute_conjugate(random_convex_fn(d, rng))
 
 
 def test_reg_output_is_lipschitz_between_adjacent_cells():
