@@ -11,6 +11,7 @@ math-domain violation.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -41,6 +42,14 @@ def _parse_bump(text) -> Bump:
 
 def _parse_vector(text):
     return [float(v) for v in text.split(",")]
+
+
+def _check_out(path):
+    """Raise OSError unless a file can be written at `path`, so a command
+    fails before its work rather than after it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path!r}: not a file in a writable directory")
 
 
 def _emit(report):
@@ -266,6 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (OSError, FormatError) as err:
         sys.stderr.write(f"error: {err}\n")

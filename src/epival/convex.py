@@ -8,8 +8,6 @@ extension from a sub-box, lsc extension/restriction and convex splitting.
 import warnings
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityViolation, DomainExceeded
 from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask
@@ -57,30 +55,33 @@ def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    vals = f.values
-    scale = 1.0 + f.max_abs_finite()
-    thr = -tol * scale
+    return bool(_convex_rows(f.values[None], tol)[0])
 
-    for d in _directions(f.domain.ndim):
-        vm, vc, vp = _shifted_views(vals, d)
-        triple = np.isfinite(vm) & np.isfinite(vc) & np.isfinite(vp)
-        if np.any(triple):
-            second = vm[triple] - 2.0 * vc[triple] + vp[triple]
-            if np.min(second) < thr:
-                return False
+
+def _convex_rows(stack, tol=1e-9):
+    """is_discretely_convex for each row of a (B, *grid) value stack, each
+    row against its own scale."""
+    rows, ndim = stack.shape[0], stack.ndim - 1
+    axes = tuple(range(1, ndim + 1))
+    fin = np.isfinite(stack)
+    vals = np.where(fin, stack, 0.0)
+    thr = -tol * (1.0 + np.max(np.abs(vals), axis=axes))
+    ok = np.ones(rows, dtype=bool)
+    for d in _directions(ndim):
+        vm, vc, vp = _shifted_views(vals, (0,) + d)
+        fm, fc, fp = _shifted_views(fin, (0,) + d)
+        second = np.where(fm & fc & fp, vm - 2.0 * vc + vp, np.inf)
+        ok &= np.min(second, axis=axes) >= thr
 
     # domain convexity along axis scan lines: no +inf strictly between finite
-    fin = f.finite_mask
-    for a in range(f.domain.ndim):
+    for a in axes:
         m = np.moveaxis(fin, a, -1)
-        m2 = m.reshape(-1, m.shape[-1])
-        count = m2.sum(axis=1)
-        has = count > 0
-        first = np.argmax(m2, axis=1)
-        last = m2.shape[1] - 1 - np.argmax(m2[:, ::-1], axis=1)
-        if np.any((last[has] - first[has] + 1) != count[has]):
-            return False
-    return True
+        m2 = m.reshape(rows, -1, m.shape[-1])
+        count = m2.sum(axis=2)
+        first = np.argmax(m2, axis=2)
+        last = m2.shape[2] - 1 - np.argmax(m2[..., ::-1], axis=2)
+        ok &= np.all((count == 0) | (last - first + 1 == count), axis=1)
+    return ok
 
 
 def lipschitz_bound(f: ExtGridFn) -> float:
@@ -102,11 +103,11 @@ def slope_range(f: ExtGridFn):
     dx = f.domain.spacing
     for a in range(f.domain.ndim):
         v = np.moveaxis(f.values, a, -1)
-        d = (v[..., 1:] - v[..., :-1]) / dx[a]
-        ok = np.isfinite(d)
+        ok = np.isfinite(v[..., 1:]) & np.isfinite(v[..., :-1])
         if np.any(ok):
-            lo.append(float(np.min(d[ok])))
-            hi.append(float(np.max(d[ok])))
+            d = (v[..., 1:][ok] - v[..., :-1][ok]) / dx[a]
+            lo.append(float(np.min(d)))
+            hi.append(float(np.max(d)))
         else:
             lo.append(0.0)
             hi.append(0.0)
@@ -317,6 +318,10 @@ def _lower_hull_planes(pts, vals, edge):
     Falls back to a single shifted least-squares plane for affinely
     degenerate data (qhull cannot triangulate flat input).
     """
+    # imported here, not with the module: scipy is most of the CLI's
+    # start-up time and only the extension needs qhull
+    from scipy.spatial import ConvexHull, QhullError
+
     n = pts.shape[1]
     lifted = np.column_stack([pts, vals])
     try:
@@ -380,12 +385,14 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
     out = np.array(f.values)
     outside = ~box
     pts_out = dom.points()[outside.ravel()]
-    out[outside] = (pts_out @ slopes.T + offsets).max(axis=1)
+    out[outside] = _pairing_max(pts_out, slopes, -offsets)
     out[box] = f.values[box]
     return ExtGridFn(dom, out)
 
 
 def _connected(mask):
+    from scipy import ndimage  # imported here for start-up time, as in _lower_hull_planes
+
     structure = ndimage.generate_binary_structure(mask.ndim, 1)
     _, num = ndimage.label(mask, structure=structure)
     return num == 1
@@ -467,43 +474,44 @@ def _discrete_c2_bound(phi: ExtGridFn) -> float:
     return sup + gnorm + curv
 
 
-def central_hessian_at(f: ExtGridFn, idx):
-    """Central-difference Hessians at the given (M, n) integer cell indices.
+def central_hessian_at(values, spacing, idx):
+    """Central-difference Hessians, shape (..., M, n, n), at the (M, n)
+    integer cell indices of a (..., *grid) value stack with grid spacing dx.
 
     Every stencil point must be in range and finite; raises otherwise.
     """
-    dom = f.domain
-    n = dom.ndim
+    dx = np.asarray(spacing, dtype=float)
+    n = dx.size
+    grid = values.shape[-n:]
     idx = np.atleast_2d(np.asarray(idx, dtype=int))
-    shape = np.array(dom.shape)
+    shape = np.array(grid)
     if np.any(idx < 1) or np.any(idx > shape - 2):
         raise ValueError("Hessian stencil leaves the grid")
-    flat = f.values.ravel()
+    flat = values.reshape(values.shape[:-n] + (-1,))
     strides = np.ones(n, dtype=int)
     for a in range(n - 2, -1, -1):
         strides[a] = strides[a + 1] * shape[a + 1]
     base = idx @ strides
-    dx = dom.spacing
 
     def at(offset):
-        vals = flat[base + np.asarray(offset, dtype=int) @ strides]
+        vals = flat[..., base + np.asarray(offset, dtype=int) @ strides]
         if not np.all(np.isfinite(vals)):
             raise ValueError("Hessian stencil touches a +inf cell")
         return vals
 
     center = at(np.zeros(n, dtype=int))
-    H = np.empty((idx.shape[0], n, n))
+    H = np.empty(center.shape + (n, n))
     for i in range(n):
         e = np.zeros(n, dtype=int)
         e[i] = 1
-        H[:, i, i] = (at(e) - 2.0 * center + at(-e)) / dx[i]**2
+        H[..., i, i] = (at(e) - 2.0 * center + at(-e)) / dx[i]**2
         for j in range(i + 1, n):
             ej = np.zeros(n, dtype=int)
             ej[j] = 1
             mixed = (at(e + ej) - at(e - ej) - at(-e + ej) + at(-e - ej)) \
                 / (4.0 * dx[i] * dx[j])
-            H[:, i, j] = mixed
-            H[:, j, i] = mixed
+            H[..., i, j] = mixed
+            H[..., j, i] = mixed
     return H
 
 
@@ -513,7 +521,7 @@ def _central_hessian_full(phi: ExtGridFn):
         return None
     grids = np.meshgrid(*[np.arange(2, s - 2) for s in dom.shape], indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=-1)
-    return central_hessian_at(phi, idx)
+    return central_hessian_at(phi.values, dom.spacing, idx)
 
 
 def convex_split(phi, domain: GridDomain | None = None):

@@ -111,12 +111,6 @@ class ExtGridFn:
     def finite_mask(self):
         return np.isfinite(self.values)
 
-    def max_abs_finite(self):
-        return float(np.max(np.abs(self.values[self.finite_mask])))
-
-    def with_values(self, values):
-        return ExtGridFn(self.domain, values)
-
     def __add__(self, other):
         if isinstance(other, ExtGridFn):
             if not self.domain.same_as(other.domain):
@@ -155,39 +149,53 @@ class ExtGridFn:
             raise ValueError("domains differ")
 
 
+def _interpolation_corners(domain: GridDomain, pts):
+    """Flat corner indices and multilinear weights, both (M, 2^n), of the
+    cells around each point; exact on grid nodes and affine data.
+
+    Raises DomainExceeded for points outside the box.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != domain.ndim:
+        raise ValueError("point dimension mismatch")
+    if not np.all(domain.contains(pts)):
+        raise DomainExceeded("interpolation point outside the grid domain")
+    shape = np.array(domain.shape)
+    rel = (pts - domain.lo) / domain.spacing
+    base = np.clip(np.floor(rel).astype(int), 0, shape - 2)
+    frac = np.clip(rel - base, 0.0, 1.0)
+    n = domain.ndim
+    idx = np.empty((pts.shape[0], 1 << n), dtype=int)
+    w = np.ones((pts.shape[0], 1 << n))
+    for corner in range(1 << n):
+        offs = np.array([(corner >> a) & 1 for a in range(n)])
+        idx[:, corner] = np.ravel_multi_index(tuple((base + offs).T), domain.shape)
+        for a in range(n):
+            w[:, corner] *= frac[:, a] if offs[a] else 1.0 - frac[:, a]
+    return idx, w
+
+
+def _interpolate_rows(stack, idx, w):
+    """Interpolated values (B, M) of each row of a (B, N) value stack, from
+    _interpolation_corners; raises ValueError when a weighted corner is +inf."""
+    vals = stack[:, idx]
+    if np.any((w > 0) & ~np.isfinite(vals)):
+        raise ValueError("interpolation touches a +inf cell")
+    terms = np.where(w > 0, w * np.where(np.isfinite(vals), vals, 0.0), 0.0)
+    out = np.zeros(terms.shape[:2])
+    for corner in range(terms.shape[2]):
+        out = out + terms[:, :, corner]
+    return out
+
+
 def interpolate(f: ExtGridFn, pts):
     """Multilinear interpolation of f at points; exact on grid nodes and affine data.
 
     Raises DomainExceeded for points outside the box and ValueError when a
     surrounding cell corner is +inf.
     """
-    dom = f.domain
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != dom.ndim:
-        raise ValueError("point dimension mismatch")
-    if not np.all(dom.contains(pts)):
-        raise DomainExceeded("interpolation point outside the grid domain")
-    dx = dom.spacing
-    rel = (pts - dom.lo) / dx
-    base = np.floor(rel).astype(int)
-    base = np.clip(base, 0, np.array(dom.shape) - 2)
-    frac = rel - base
-    frac = np.clip(frac, 0.0, 1.0)
-
-    n = dom.ndim
-    out = np.zeros(pts.shape[0])
-    for corner in range(1 << n):
-        offs = np.array([(corner >> a) & 1 for a in range(n)])
-        idx = base + offs
-        w = np.ones(pts.shape[0])
-        for a in range(n):
-            w = w * (frac[:, a] if offs[a] else (1.0 - frac[:, a]))
-        vals = f.values[tuple(idx.T)]
-        bad = (w > 0) & ~np.isfinite(vals)
-        if np.any(bad):
-            raise ValueError("interpolation touches a +inf cell")
-        out = out + np.where(w > 0, w * np.where(np.isfinite(vals), vals, 0.0), 0.0)
-    return out
+    idx, w = _interpolation_corners(f.domain, pts)
+    return _interpolate_rows(f.values.reshape(1, -1), idx, w)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +230,18 @@ class Polytope:
         return (directions @ self.vertices.T).max(axis=1)
 
 
+def _bump_values(pts, centers, radius, amplitude=1.0):
+    """(C, N) values at the (N, n) points of the bumps with the given (C, n)
+    centers and a shared radius and amplitude; row c is bit-identical to
+    Bump(centers[c], radius, amplitude).value(pts)."""
+    d = np.atleast_2d(pts)[None] - centers[:, None]
+    u = np.sum(d * d, axis=-1) / radius**2
+    out = np.zeros(u.shape)
+    inside = u < 1.0
+    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside]))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Bump:
     """Smooth compactly supported bump: amp * exp(1 - 1/(1 - |x-c|^2/r^2))."""
@@ -244,11 +264,7 @@ class Bump:
         return np.sum(d * d, axis=1) / self.radius**2, d
 
     def value(self, pts):
-        u, _ = self._u(pts)
-        out = np.zeros(u.shape)
-        inside = u < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-        return out
+        return _bump_values(pts, self.center[None], self.radius, self.amplitude)[0]
 
     def gradient(self, pts):
         u, d = self._u(pts)

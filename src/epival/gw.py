@@ -2,24 +2,25 @@
 lower-bound estimator.
 
 The Goodey-Weil pairing extracts the mixed first-order coefficient of
-mu(f + sum_i delta_i phi_i) through an exact 2^k-corner difference; for a
-k-homogeneous valuation the polynomial has total degree at most k, so the
-extraction is independent of the step size, which the implementation
-verifies by re-running at half the step.
+mu(f + sum_i delta_i phi_i) through an exact corner difference (2^k corners
+for distinct tests, k + 1 for identical ones); for a k-homogeneous valuation
+the polynomial has total degree at most k, so the extraction is independent
+of the step size, which the implementation verifies by re-running at half
+the step. Many probes are evaluated at once: their corners form one stack.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, inf
 
 import numpy as np
-from scipy import ndimage
 
-from .convex import extend_from_subdomain, is_discretely_convex, _discrete_c2_bound
+from .convex import (_by_rows, _convex_rows, _discrete_c2_bound, extend_from_subdomain,
+                     is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
-from .grids import Bump, ExtGridFn, GridDomain, ScanMask
+from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values
 from .sampling import random_convex_fn
-from .valuations import PairingMeasure, evaluate, intrinsic_domain
+from .valuations import PairingMeasure, _evaluate_stack, evaluate, intrinsic_domain
 
 REL_STEP_TOL = 1e-7
 _EPS = np.finfo(float).eps
@@ -60,19 +61,23 @@ def polarize(spec, k: int, fs) -> float:
     if len(fs) != k or k < 1:
         raise ValueError("need exactly k functions")
     g = fs[0]
-    a = evaluate(spec, g * 2.0)
-    b = evaluate(spec, g)
-    if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
-        raise ValueError("valuation fails the k-homogeneity residual check")
-    dom = g.domain
-    total = 0.0
+    if not all(f.domain.same_as(g.domain) for f in fs):
+        raise ValueError("functions must share a domain")
+    rows, signs = [g.values * 2.0, g.values], []
     for size in range(1, k + 1):
-        sign = (-1.0) ** (k - size)
         for S in combinations(range(k), size):
             acc = fs[S[0]].values
             for i in S[1:]:
                 acc = acc + fs[i].values
-            total += sign * evaluate(spec, ExtGridFn(dom, acc))
+            rows.append(acc)
+            signs.append((-1.0) ** (k - size))
+    vals = _evaluate_stack(spec, g.domain, np.stack(rows))
+    a, b = float(vals[0]), float(vals[1])
+    if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
+        raise ValueError("valuation fails the k-homogeneity residual check")
+    total = 0.0
+    for sign, v in zip(signs, vals[2:]):
+        total += sign * float(v)
     return total / factorial(k)
 
 
@@ -107,77 +112,99 @@ def _auto_step(k, c2s):
     return min(0.1, 1.0 / (k * max(worst, 1e-12)))
 
 
-def _mixed_difference(spec, dom, base_vals, phi_stack, h, k,
-                      check_corners=True, check_base=True):
-    """(1/(k! h^k)) sum over S of (-1)^(k-|S|) mu(base + h * sum_S phi).
-
-    Returns (value, max absolute corner evaluation).
-    """
-    corner_max = 0.0
-    total = 0.0
-    for size in range(0, k + 1):
-        sign = (-1.0) ** (k - size)
-        for S in combinations(range(k), size):
-            vals = base_vals
-            for i in S:
-                vals = vals + h * phi_stack[i]
-            g = ExtGridFn(dom, vals)
-            if size == 0:
-                if check_base and not is_discretely_convex(g):
-                    raise ConvexityViolation("base function is not convex")
-            elif check_corners and not is_discretely_convex(g):
-                raise ConvexityViolation("corner function not convex; step too large")
-            v = evaluate(spec, g)
-            corner_max = max(corner_max, abs(v))
-            total += sign * v
-    return total / (factorial(k) * h**k), corner_max
+def _multiset(tests):
+    """Distinct test arrays, in order of first appearance, and their
+    multiplicities."""
+    groups = {}
+    for t in tests:
+        groups.setdefault(t.tobytes(), [t, 0])[1] += 1
+    return [t for t, _ in groups.values()], tuple(m for _, m in groups.values())
 
 
-def _mixed_difference_identical(spec, dom, base_vals, phi_vals, h, k,
-                                check_corners=True, check_base=True):
-    """Fast path when all k test functions are the same grid function."""
-    corner_max = 0.0
-    total = 0.0
-    for j in range(0, k + 1):
-        g = ExtGridFn(dom, base_vals + (j * h) * phi_vals)
-        if j == 0:
-            if check_base and not is_discretely_convex(g):
-                raise ConvexityViolation("base function is not convex")
-        elif check_corners and not is_discretely_convex(g):
-            raise ConvexityViolation("corner function not convex; step too large")
-        v = evaluate(spec, g)
-        corner_max = max(corner_max, abs(v))
-        total += comb(k, j) * (-1.0) ** (k - j) * v
-    return total / (factorial(k) * h**k), corner_max
+def _corner_plan(mults):
+    """(coefficient, counts) of every corner base + h sum_g counts[g] phi_g of
+    the mixed difference of tests with multiplicities mults: binomial
+    weights for repeated tests, subset signs for distinct ones. The base
+    comes first, then the corners by total degree, distinct tests in the
+    order of itertools.combinations."""
+    plan = []
+    for js in sorted(product(*(range(m + 1) for m in mults)),
+                     key=lambda js: (sum(js), [-j for j in js])):
+        coef = 1.0
+        for m, j in zip(mults, js):
+            coef *= comb(m, j) * (-1.0) ** (m - j)
+        plan.append((coef, js))
+    return plan
+
+
+def _corners(base_vals, phis, plan, h):
+    """(P, 2, C, *grid) stack of the non-base corners of P probes at their
+    steps h and h/2, where phis is (P, G, *grid) and h is (P,)."""
+    steps = np.stack([h, h / 2.0], axis=1).reshape((-1, 2) + (1,) * base_vals.ndim)
+    out = np.empty((phis.shape[0], 2, len(plan) - 1) + base_vals.shape)
+    for c, (_, js) in enumerate(plan[1:]):
+        vals = base_vals
+        for g, j in enumerate(js):
+            if j:
+                vals = vals + (j * steps) * phis[:, None, g]
+        out[:, :, c] = vals
+    return out
 
 
 def _noise_floor(corner_max, k, h):
     return 64.0 * _EPS * corner_max * 2.0**k / (factorial(k) * h**k)
 
 
-def _gw_core(spec, dom, base_vals, phi_stack, h, k, identical=False,
-             check_base=True, max_halvings=10):
-    """Step search + evaluation at h and h/2 with the agreement check."""
-    evaluator = _mixed_difference_identical if identical else _mixed_difference
-    phis = phi_stack[0] if identical else phi_stack
-    last_err = None
+def _difference(plan, base_value, vals, h, k):
+    """(1/(k! h^k)) sum over corners of coef * mu(corner) for each row of
+    the (P, C) non-base corner values, and the largest |mu| over corners."""
+    total = np.full(vals.shape[0], plan[0][0] * base_value)
+    for c, (coef, _) in enumerate(plan[1:]):
+        total = total + coef * vals[:, c]
+    corner_max = np.maximum(abs(base_value), np.max(np.abs(vals), axis=1))
+    return total / (factorial(k) * h**k), corner_max
+
+
+def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, max_halvings=10):
+    """Mixed differences of P probes at their steps h and h/2, with the
+    agreement check; phis is (P, G, *grid), the G distinct tests of each
+    probe with multiplicities mults, and mu(base) = base_value.
+
+    Each probe starts at step h; a probe whose corners at h or h/2 fail the
+    convexity check halves its own step and is tried again. Returns a
+    (5, P) array of the value at h, the value at h/2, the step used, the
+    largest |mu| over the corners at h, and the noise floor.
+    """
+    k = sum(mults)
+    plan = _corner_plan(mults)
+    shape = base_vals.shape
+    out = np.empty((5, phis.shape[0]))
+    steps = np.full(phis.shape[0], float(h))
+    todo = np.arange(phis.shape[0])
     for _ in range(max_halvings + 1):
-        try:
-            v1, m1 = evaluator(spec, dom, base_vals, phis, h, k,
-                              check_base=check_base)
-            v2, m2 = evaluator(spec, dom, base_vals, phis, h / 2.0, k,
-                              check_base=False)
-        except ConvexityViolation as err:
-            last_err = err
-            h /= 2.0
-            continue
-        floor = _noise_floor(m1, k, h) + _noise_floor(m2, k, h / 2.0)
-        if abs(v1 - v2) > REL_STEP_TOL * max(abs(v1), abs(v2)) + floor:
-            raise StepAgreementError(
-                f"values at h and h/2 disagree: {v1!r} vs {v2!r}")
-        return v1, v2, h, m1, floor
-    raise ConvexityViolation(
-        "no admissible step found after halvings") from last_err
+        h = steps[todo]
+        stack = _corners(base_vals, phis[todo], plan, h)
+        ok = _convex_rows(stack.reshape((-1,) + shape)).reshape(todo.size, -1).all(axis=1)
+        if np.any(ok):
+            rows = stack if np.all(ok) else stack[ok]
+            vals = _evaluate_stack(spec, dom, rows.reshape((-1,) + shape))
+            vals = vals.reshape(rows.shape[:3])
+            h1 = h[ok]
+            v1, m1 = _difference(plan, base_value, vals[:, 0], h1, k)
+            v2, m2 = _difference(plan, base_value, vals[:, 1], h1 / 2.0, k)
+            floor = _noise_floor(m1, k, h1) + _noise_floor(m2, k, h1 / 2.0)
+            bad = np.abs(v1 - v2) > REL_STEP_TOL * np.maximum(np.abs(v1), np.abs(v2)) + floor
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise StepAgreementError(
+                    f"values at h and h/2 disagree: {float(v1[i])!r} vs {float(v2[i])!r}")
+            out[:, todo[ok]] = v1, v2, h1, m1, floor
+        todo = todo[~ok]
+        if todo.size == 0:
+            return out
+        steps[todo] /= 2.0
+    raise ConvexityViolation("no admissible step found after halvings: corner "
+                             "functions are not convex")
 
 
 def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
@@ -193,10 +220,12 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     h = query.step if query.step is not None else _auto_step(k, c2s)
     if h <= 0:
         raise ValueError("step must be positive")
-    identical = all(s is stack[0] or np.array_equal(s, stack[0])
-                    for s in stack[1:])
-    v1, v2, h_used, corner_max, floor = _gw_core(
-        spec, dom, base.values, stack, h, k, identical=identical)
+    if not is_discretely_convex(base):
+        raise ConvexityViolation("base function is not convex")
+    distinct, mults = _multiset(stack)
+    v1, v2, h_used, corner_max, floor = (float(v) for v in _gw_core(
+        spec, dom, base.values, evaluate(spec, base), np.stack(distinct)[None],
+        mults, h)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included
     denom = max(abs(v1), abs(v2)) + floor / REL_STEP_TOL
@@ -224,6 +253,19 @@ def _support_masks(tests, domain):
     return masks
 
 
+def _dilate(mask):
+    """Cells in the 3^n box around a marked cell: one shift each way per axis."""
+    out = mask
+    for a in range(mask.ndim):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        grown = out.copy()
+        grown[hi] |= out[lo]
+        grown[lo] |= out[hi]
+        out = grown
+    return out
+
+
 def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
                          base: ExtGridFn | None = None,
                          step: float | None = None) -> float:
@@ -232,9 +274,8 @@ def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
     query = GWQuery(k, bumps, base=base, step=step)
     dom = _resolve_domain(spec, query, domain)
     masks = _support_masks(query.tests, dom)
-    structure = np.ones((3,) * dom.ndim, dtype=bool)
     for i in range(len(masks)):
-        grown = ndimage.binary_dilation(masks[i], structure=structure)
+        grown = _dilate(masks[i])
         for j in range(i + 1, len(masks)):
             if np.any(grown & masks[j]):
                 raise ValueError(
@@ -256,16 +297,21 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     base = _default_base(dom)
     if not is_discretely_convex(base):
         raise ConvexityViolation("scan base function is not convex")
+    base_value = evaluate(spec, base)
     c2 = Bump(dom.center, probe_radius, 1.0).c2_norm()
     h0 = step if step is not None else _auto_step(k, [c2])
     pts = dom.points()
-    responses = np.zeros(dom.size)
-    for i in range(dom.size):
-        phi = Bump(pts[i], probe_radius, 1.0).sample(dom).values
-        v1, _, _, _, _ = _gw_core(spec, dom, base.values, [phi], h0, k,
-                                  identical=True, check_base=False)
-        responses[i] = v1
-    responses = responses.reshape(dom.shape)
+
+    def block(i, j):
+        # the same values Bump(pts[c], probe_radius).sample(dom) gives
+        phis = _bump_values(pts, pts[i:j], probe_radius)
+        phis = phis.reshape((phis.shape[0], 1) + dom.shape)
+        return _gw_core(spec, dom, base.values, base_value, phis, (k,), h0)[0]
+
+    # a probe's widest temporary: its 2k corner rows (steps h and h/2), each
+    # with up to one n x n Hessian per cell
+    width = 2 * k * dom.size * dom.ndim**2
+    responses = _by_rows(dom.size, width, block).reshape(dom.shape)
     peak = float(np.max(np.abs(responses)))
     marked = np.abs(responses) > tol * peak if peak > 0 else \
         np.zeros(dom.shape, dtype=bool)
@@ -326,7 +372,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
                       axis=1).reshape(dom.shape)
     center = (A_lo + A_hi) / 2.0
     rng = np.random.default_rng(seed)
-    best = 0.0
+    exts = []
     for i in range(n_samples):
         if i == 0:
             dist = np.linalg.norm(pts - center, axis=1).reshape(dom.shape)
@@ -338,6 +384,5 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
         m = float(np.max(np.abs(f.values[norm_box])))
         if m > 0:
             f = ExtGridFn(dom, f.values / m)
-        f_ext = extend_from_subdomain(f, A_lo, A_hi, s)
-        best = max(best, abs(evaluate(spec, f_ext)))
-    return best
+        exts.append(extend_from_subdomain(f, A_lo, A_hi, s).values)
+    return float(np.max(np.abs(_evaluate_stack(spec, dom, np.stack(exts)))))

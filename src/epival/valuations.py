@@ -8,14 +8,15 @@ the embedding into body valuations, and restriction to open sub-domains.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
 
 from .convex import body_to_function, central_hessian_at, is_discretely_convex, restrict
 from .errors import ConvexityViolation
-from .grids import ExtGridFn, GridDomain, Polytope, ScanMask, interpolate
+from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _interpolate_rows,
+                    _interpolation_corners)
 
 WEIGHT_CONDITION_TOL = 1e-10
 
@@ -32,6 +33,8 @@ class PairingMeasure:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if nodes.shape[0] != weights.size:
             raise ValueError("one weight per node required")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         if check:
             scale = 1.0 + float(np.max(np.abs(weights)))
             if abs(weights.sum()) > WEIGHT_CONDITION_TOL * scale:
@@ -116,11 +119,23 @@ def _margin_mask(shape, width):
     return m
 
 
+def _permutation_signs(n):
+    """(permutation, sign) pairs of range(n)."""
+    out = []
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        out.append((p, -1.0 if inversions % 2 else 1.0))
+    return out
+
+
 def mixed_determinant(*mats):
-    """Polarization of det on symmetric matrices:
-    D(A_1..A_n) = (1/n!) sum over nonempty S of (-1)^(n-|S|) det(sum_{i in S} A_i).
+    """Mixed discriminant of n symmetric n x n matrices, the polarization of det:
+    D(A_1..A_n) = (1/n!) sum over permutations s, t of
+    sign(s) sign(t) prod_i (A_i)[s(i), t(i)]
+    (Schneider, Convex Bodies: The Brunn-Minkowski Theory, section 5.1).
 
     Accepts n stacked arrays of shape (..., n, n); broadcasts over leading axes.
+    Every term is elementwise, so each leading index is computed on its own.
     """
     if len(mats) == 1 and isinstance(mats[0], (list, tuple)):
         mats = tuple(mats[0])
@@ -130,54 +145,55 @@ def mixed_determinant(*mats):
         raise ValueError("need exactly n matrices of size n x n")
     if n not in (1, 2, 3):
         raise ValueError("dimensions 1 to 3 only")
+    signs = _permutation_signs(n)
     total = 0.0
-    for size in range(1, n + 1):
-        sign = (-1.0) ** (n - size)
-        for S in combinations(range(n), size):
-            acc = mats[S[0]]
-            for i in S[1:]:
-                acc = acc + mats[i]
-            total = total + sign * np.linalg.det(acc)
+    for s, sign_s in signs:
+        for t, sign_t in signs:
+            term = mats[0][..., s[0], t[0]]
+            for i in range(1, n):
+                term = term * mats[i][..., s[i], t[i]]
+            total = total + (sign_s * sign_t) * term
     return total / factorial(n)
 
 
-def _pairing_value(spec: PairingMeasure, f: ExtGridFn) -> float:
-    vals = interpolate(f, spec.nodes)
-    return float(spec.weights @ vals)
+def _evaluate_stack(spec, domain: GridDomain, stack):
+    """Values (B,) of the valuation at each row of a (B, *grid) value stack.
 
-
-def _hessian_value(spec: HessianDensity, f: ExtGridFn) -> float:
-    if not f.domain.same_as(spec.weight.domain):
-        raise ValueError("probe function domain differs from the weight domain")
-    supp = np.argwhere(spec.weight.values != 0.0)
-    if supp.size == 0:
-        return 0.0
-    H = central_hessian_at(f, supp)
-    n = f.domain.ndim
-    mats = [H] * spec.order
-    for a in spec.aux:
-        if a.shape == (n, n):
-            mats.append(np.broadcast_to(a, H.shape))
-        else:
-            mats.append(a[tuple(supp.T)])
-    D = mixed_determinant(*mats)
-    w = spec.weight.values[tuple(supp.T)]
-    return float(np.sum(w * D) * np.prod(f.domain.spacing))
+    Every reduction runs within a row, so a row's value does not depend on
+    the other rows in the stack.
+    """
+    if callable(spec):
+        return np.array([float(spec(ExtGridFn(domain, row))) for row in stack])
+    if isinstance(spec, Constant):
+        return np.full(stack.shape[0], float(spec.value))
+    if isinstance(spec, PairingMeasure):
+        idx, w = _interpolation_corners(domain, spec.nodes)
+        vals = _interpolate_rows(stack.reshape(stack.shape[0], -1), idx, w)
+        return np.sum(vals * spec.weights, axis=1)
+    if isinstance(spec, HessianDensity):
+        if not domain.same_as(spec.weight.domain):
+            raise ValueError("probe function domain differs from the weight domain")
+        supp = np.argwhere(spec.weight.values != 0.0)
+        if supp.size == 0:
+            return np.zeros(stack.shape[0])
+        H = central_hessian_at(stack, domain.spacing, supp)
+        mats = [H] * spec.order
+        for a in spec.aux:
+            mats.append(a if a.ndim == 2 else a[tuple(supp.T)])
+        D = mixed_determinant(*mats)
+        w = spec.weight.values[tuple(supp.T)]
+        return np.sum(w * D, axis=-1) * np.prod(domain.spacing)
+    if isinstance(spec, Composite):
+        total = np.zeros(stack.shape[0])
+        for c, s in spec.terms:
+            total = total + c * _evaluate_stack(s, domain, stack)
+        return total
+    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
 
 
 def evaluate(spec, f: ExtGridFn) -> float:
     """Value of the valuation described by spec at the grid function f."""
-    if callable(spec):
-        return float(spec(f))
-    if isinstance(spec, Constant):
-        return float(spec.value)
-    if isinstance(spec, PairingMeasure):
-        return _pairing_value(spec, f)
-    if isinstance(spec, HessianDensity):
-        return _hessian_value(spec, f)
-    if isinstance(spec, Composite):
-        return float(sum(c * evaluate(s, f) for c, s in spec.terms))
-    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+    return float(_evaluate_stack(spec, f.domain, f.values[None])[0])
 
 
 def degree(spec):
@@ -237,6 +253,11 @@ class HomogeneousComponents:
         return float(np.sum(self.components))
 
 
+def _dilations(f: ExtGridFn, ts):
+    """The stack of t * f for t in ts (all positive)."""
+    return ts.reshape((-1,) + (1,) * f.values.ndim) * f.values
+
+
 def _vandermonde(n):
     ts = np.arange(1, n + 3, dtype=float)
     V = np.vander(ts, N=n + 2, increasing=True)
@@ -253,7 +274,7 @@ def homogeneous_decompose(spec, f: ExtGridFn, n: int | None = None
     if n is None:
         n = f.domain.ndim
     ts, V = _vandermonde(n)
-    vals = np.array([evaluate(spec, f * t) for t in ts])
+    vals = _evaluate_stack(spec, f.domain, _dilations(f, ts))
     coeffs = np.linalg.solve(V, vals)
     return HomogeneousComponents(components=coeffs[:n + 1],
                                  top_residual=abs(float(coeffs[n + 1])),
@@ -267,7 +288,8 @@ def component_functional(spec, deg: int, n: int):
     row = np.linalg.inv(V)[deg]
 
     def mu_deg(f):
-        return float(sum(r * evaluate(spec, f * t) for r, t in zip(row, ts)))
+        vals = _evaluate_stack(spec, f.domain, _dilations(f, ts))
+        return float(sum(r * v for r, v in zip(row, vals)))
 
     return mu_deg
 

@@ -101,3 +101,16 @@ def mixed_coeff_oracle(values_fn, n, degree_per_axis, h=1.0):
     for _ in range(n):
         data = np.tensordot(row, data, axes=(0, 0))
     return float(data)
+
+
+def inclusion_exclusion_mixed_determinant(*mats):
+    """Mixed discriminant by polarizing det over subset sums:
+    (1/n!) sum over nonempty S of (-1)^(n-|S|) det(sum_{i in S} A_i)."""
+    from itertools import combinations
+    from math import factorial
+    n = len(mats)
+    total = 0.0
+    for size in range(1, n + 1):
+        for S in combinations(range(n), size):
+            total += (-1.0) ** (n - size) * np.linalg.det(sum(mats[i] for i in S))
+    return total / factorial(n)

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epival
+from epival import serialize
 from epival import Bump, ExtGridFn, GridDomain, Polytope
 from epival.cli import main
 from epival.serialize import (
@@ -277,3 +281,38 @@ def test_gw_with_grid_file_test_function(tmp_path, capsys):
     want = float(np.array([1.0, 1.0, -2.0])
                  @ Bump([0.3], 0.7, 1.0).value(np.array([[1.0], [-1.0], [0.0]])))
     assert report["value"] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["scan", "transform", "decompose", "gw"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    d = GridDomain([-2.0], [2.0], [65])
+    write_mu1(tmp_path / "mu1.json")
+    write_grid(tmp_path / "f.json", d, lambda p: p[:, 0] ** 2)
+    before = sorted(os.listdir(tmp_path))
+    out = str(tmp_path / "nodir" / "out.json")
+    spec = ["--spec", str(tmp_path / "mu1.json")]
+    argv = {
+        "scan": ["scan", *spec, "--k", "1", "--probe-radius", "0.3", "--grid=-2:2:65"],
+        "transform": ["transform", "--op", "legendre", "--in", str(tmp_path / "f.json")],
+        "decompose": ["decompose", *spec, "--in", str(tmp_path / "f.json")],
+        "gw": ["gw", *spec, "--k", "1", "--bump=0.2:0.5:1", "--grid=-2:2:65"],
+    }[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("inputs read before the output path was checked")
+
+    monkeypatch.setattr(serialize, "load_valuation_spec", no_work)
+    monkeypatch.setattr(serialize, "load_grid_fn", no_work)
+    assert main(argv + ["--out", out]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path)]) == 2  # a directory
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, epival.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epival.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

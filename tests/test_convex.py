@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -25,7 +27,9 @@ from epival import (
     random_convex_fn,
     reconstruct_from_conjugate,
     restrict,
+    slope_range,
 )
+from epival.convex import _convex_rows
 
 from helpers import (
     brute_chord_extension_1d,
@@ -63,6 +67,19 @@ def test_convexity_infinity_patterns():
     assert is_discretely_convex(point_indicator)
     gap = ExtGridFn(d, [0.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert not is_discretely_convex(gap)
+
+
+def test_convexity_rows_are_checked_independently():
+    d = grid1d(n=7)
+    x = d.points().ravel()
+    rows = [1e6 * x**2,                                   # large scale
+            x + 1e-6 * (np.arange(7) == 3),               # small kink, small scale
+            [np.inf] * 3 + [0.0] + [np.inf] * 3,          # point indicator
+            [0.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0],       # +inf gap
+            np.abs(x)]
+    got = _convex_rows(np.array(rows, dtype=float))
+    assert got.tolist() == [True, False, True, False, True]
+    assert got.tolist() == [is_discretely_convex(ExtGridFn(d, r)) for r in rows]
 
 
 def test_convexity_rejects_bad_inputs():
@@ -136,6 +153,18 @@ def test_legendre_order_reversal_exact():
     fs = legendre(f, dual)
     gs = legendre(g, dual)
     assert np.all(fs.values >= gs.values)
+
+
+def test_legendre_with_inf_tails_is_warning_free():
+    d = grid1d(n=65)
+    x = d.points().ravel()
+    f = ExtGridFn(d, np.where(np.abs(x) <= 1.0, x**2, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fstar = legendre(f)
+    lo, hi = slope_range(f)
+    assert lo[0] == pytest.approx(-2.0 + 1 / 16) and hi[0] == pytest.approx(2.0 - 1 / 16)
+    assert np.all(np.isfinite(fstar.values))
 
 
 def test_legendre_warns_when_dual_domain_misses_slopes():

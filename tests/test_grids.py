@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epival import Bump, DomainExceeded, ExtGridFn, GridDomain, Polytope, interpolate
+from epival.grids import _bump_values
 
 from helpers import grid1d, grid2d, sample
 
@@ -96,6 +97,21 @@ def test_bump_derivatives_match_finite_differences(ndim):
         assert np.allclose(grad[:, a], num, atol=1e-6, rtol=1e-5)
         numh = (b.gradient(pts + e) - b.gradient(pts - e)) / (2 * eps)
         assert np.allclose(hess[:, :, a], numh, atol=1e-5, rtol=1e-4)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_bump_block_sampling_is_bit_identical(ndim):
+    d = GridDomain([-1.0] * ndim, [1.0] * ndim, [9] * ndim)
+    pts = d.points()
+    centers = pts[::5]
+    block = _bump_values(pts, centers, 0.6)
+    for c, row in zip(centers, block):
+        assert np.array_equal(row, Bump(c, 0.6, 1.0).sample(d).values.ravel())
+        # the formula written out, one probe at a time
+        u = np.sum((pts - c) ** 2, axis=1) / 0.6**2
+        want = np.zeros(u.shape)
+        want[u < 1.0] = 1.0 * np.exp(1.0 - 1.0 / (1.0 - u[u < 1.0]))
+        assert np.array_equal(row, want)
 
 
 def test_bump_support_and_smoothness():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import epival.convex
 from epival import (
     Bump,
     Constant,
@@ -125,8 +126,8 @@ def test_gw_hessian_matches_delta_stencil_oracle():
     assert got == pytest.approx(oracle, rel=1e-7, abs=1e-9)
     # and against the quadrature of the mixed determinant of the bump Hessians
     supp = np.argwhere(spec.weight.values != 0.0)
-    H1 = central_hessian_at(b1.sample(d), supp)
-    H2 = central_hessian_at(b2.sample(d), supp)
+    H1 = central_hessian_at(b1.sample(d).values, d.spacing, supp)
+    H2 = central_hessian_at(b2.sample(d).values, d.spacing, supp)
     D = mixed_determinant(H1, H2)
     w = spec.weight.values[tuple(supp.T)]
     direct = float(np.sum(w * D) * np.prod(d.spacing))
@@ -248,6 +249,38 @@ def test_scan_dilation_moves_argmax():
     assert abs(x[right1] - 1.0) <= pr + d.spacing[0]
     assert abs(x[right2] - 2.0) <= pr + d.spacing[0]
     assert abs(x[right2] - 2.0 * x[right1]) <= 2 * d.spacing[0] + 1e-12
+
+
+def test_scan_does_not_depend_on_block_size(monkeypatch):
+    d = grid2d(lo=-2.0, hi=2.0, n=17)
+    spec = hess2(d)
+    d1 = GridDomain([-2.0], [2.0], [65])
+    whole = [support_scan(spec, 2, 0.5, domain=d, return_responses=True)[1],
+             support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1]]
+    # blocks of a single probe, and of a few probes with a ragged last block
+    for block in (1, 7 * 2 * 2 * d.size * 4):
+        monkeypatch.setattr(epival.convex, "_BLOCK", block)
+        assert np.array_equal(
+            support_scan(spec, 2, 0.5, domain=d, return_responses=True)[1], whole[0])
+        assert np.array_equal(
+            support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1], whole[1])
+
+
+@pytest.mark.parametrize("k, step", [(1, 0.2), (2, 0.1)])
+def test_scan_probes_halve_their_own_step(k, step):
+    d = grid2d(lo=-2.0, hi=2.0, n=17)
+    spec = hess2(d) if k == 2 else HessianDensity(1, hess2(d).weight, aux=[np.eye(2)])
+    radius = 0.5
+    _, resp = support_scan(spec, k, radius, domain=d, step=step, return_responses=True)
+    steps = set()
+    # every fourth cell, the four corner cells among them
+    for c, r in zip(d.points()[::4], resp.ravel()[::4]):
+        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k, step=step),
+                           domain=d)
+        assert r == report["value"]
+        steps.add(report["step"])
+    # the corner probes see little of their bump and keep the larger step
+    assert len(steps) > 1 and step in steps
 
 
 # ----------------------------------------------------- translate covariance

@@ -6,6 +6,7 @@ from epival import (
     Composite,
     Constant,
     ConvexityViolation,
+    DomainExceeded,
     ExtGridFn,
     GridDomain,
     HessianDensity,
@@ -26,7 +27,10 @@ from epival import (
     valuation_residual,
 )
 
-from helpers import grid1d, grid2d, mixed_coeff_oracle, quadratic, sample
+from epival.valuations import _evaluate_stack
+
+from helpers import (grid1d, grid2d, inclusion_exclusion_mixed_determinant,
+                     mixed_coeff_oracle, quadratic, sample)
 
 
 def mu1(x=1.0):
@@ -65,6 +69,61 @@ def test_pairing_rejects_inf_node_values():
     f = ExtGridFn(d, vals)
     with pytest.raises(ValueError):
         evaluate(mu1(), f)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_pairing_rejects_non_finite_nodes_and_weights(check):
+    with pytest.raises(ValueError, match="finite"):
+        PairingMeasure([[0.0], [0.5], [1.0]], [1.0, np.nan, 1.0], check=check)
+    with pytest.raises(ValueError, match="finite"):
+        PairingMeasure([[0.0], [np.inf], [1.0]], [1.0, -2.0, 1.0], check=check)
+
+
+def _stack_specs():
+    d = grid2d(lo=-2.0, hi=2.0, n=17)
+    w = bump_weight(d)
+    scal = (1.0 + np.sum(d.points() ** 2, axis=1) / 8.0).reshape(d.shape)
+    pairing = PairingMeasure([[0.3, -0.2], [-0.7, 0.55], [0.2, 0.1]], [1.0, 1.0, -2.0],
+                             check=False)
+    hess_const = HessianDensity(1, w, aux=[np.array([[2.0, 0.3], [0.3, 1.0]])])
+    hess_field = HessianDensity(1, w, aux=[scal[..., None, None] * np.eye(2)])
+    return d, {
+        "pairing": pairing,
+        "hessian-const-aux": hess_const,
+        "hessian-field-aux": hess_field,
+        "constant": Constant(1.5),
+        "composite": Composite([(2.0, pairing), (-0.5, HessianDensity(2, w))]),
+        "callable": lambda f: float(np.sum(f.values)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["pairing", "hessian-const-aux", "hessian-field-aux",
+                                  "constant", "composite", "callable"])
+def test_evaluate_stack_matches_evaluate_row_by_row(kind):
+    d, specs = _stack_specs()
+    spec = specs[kind]
+    rng = np.random.default_rng(17)
+    fs = [random_convex_fn(d, rng) for _ in range(5)]
+    got = _evaluate_stack(spec, d, np.stack([f.values for f in fs]))
+    assert got.shape == (5,)
+    assert np.array_equal(got, [evaluate(spec, f) for f in fs])
+
+
+def test_evaluate_stack_errors():
+    d, specs = _stack_specs()
+    rng = np.random.default_rng(18)
+    good = random_convex_fn(d, rng).values
+    holed = np.array(good)
+    holed[d.shape[0] // 2, d.shape[1] // 2] = np.inf  # under the weight and a node
+    stack = np.stack([good, holed])
+    for kind in ("pairing", "hessian-const-aux", "composite"):
+        with pytest.raises(ValueError, match=r"\+inf"):
+            _evaluate_stack(specs[kind], d, stack)
+    outside = PairingMeasure([[2.5, 0.0], [0.0, 0.0]], [1.0, -1.0], check=False)
+    with pytest.raises(DomainExceeded):
+        _evaluate_stack(outside, d, stack[:1])
+    with pytest.raises(ValueError, match="domain"):
+        _evaluate_stack(specs["hessian-field-aux"], grid2d(n=19), np.zeros((1, 19, 19)))
 
 
 def test_pairing_weight_conditions_enforced():
@@ -281,6 +340,22 @@ def test_mixed_determinant_symmetric_multilinear():
     lhs = mixed_determinant(A + B, B, C)
     rhs = mixed_determinant(A, B, C) + mixed_determinant(B, B, C)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_determinant_matches_inclusion_exclusion(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        mats = [M + M.T for M in rng.normal(size=(n, n, n))]
+        want = inclusion_exclusion_mixed_determinant(*mats)
+        scale = np.prod([np.max(np.abs(M)) for M in mats])
+        assert abs(mixed_determinant(*mats) - want) <= 1e-12 * max(abs(want), scale)
+    # stacked: leading axes broadcast, each index on its own
+    stack = [rng.normal(size=(4, 5, n, n)) for _ in range(n)]
+    stack = [M + np.swapaxes(M, -1, -2) for M in stack]
+    got = mixed_determinant(*stack)
+    assert got.shape == (4, 5)
+    assert got[2, 3] == mixed_determinant(*[M[2, 3] for M in stack])
 
 
 # ------------------------------------------------------------------ embedding
