@@ -193,9 +193,12 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.add_argument("--seed", type=int, default=0)
+
+    def spec_arg(sp):
+        sp.add_argument("--spec", required=True)
         sp.add_argument("--unchecked", action="store_true",
                         help="skip the pairing weight-condition check")
-        sp.add_argument("--seed", type=int, default=0)
 
     t = sub.add_parser("transform", help="legendre / reg / reconstruct")
     t.add_argument("--op", required=True,
@@ -210,7 +213,7 @@ def build_parser():
     t.set_defaults(func=cmd_transform)
 
     d = sub.add_parser("decompose", help="homogeneous components as CSV")
-    d.add_argument("--spec", required=True)
+    spec_arg(d)
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
     d.add_argument("--n", type=int, default=None)
@@ -218,7 +221,7 @@ def build_parser():
     d.set_defaults(func=cmd_decompose)
 
     pol = sub.add_parser("polarize", help="multilinear polarization value")
-    pol.add_argument("--spec", required=True)
+    spec_arg(pol)
     pol.add_argument("--k", type=int, required=True)
     pol.add_argument("--inputs", nargs="+", required=True)
     pol.add_argument("--out", default=None)
@@ -226,7 +229,7 @@ def build_parser():
     pol.set_defaults(func=cmd_polarize)
 
     g = sub.add_parser("gw", help="Goodey-Weil pairing / diagonality residual")
-    g.add_argument("--spec", required=True)
+    spec_arg(g)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--bump", action="append", default=[],
                    help="center:radius:amplitude, e.g. 0.5,0:0.4:1")
@@ -241,7 +244,7 @@ def build_parser():
     g.set_defaults(func=cmd_gw)
 
     s = sub.add_parser("scan", help="support scan mask")
-    s.add_argument("--spec", required=True)
+    spec_arg(s)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--probe-radius", dest="probe_radius", type=float,
                    required=True)
@@ -252,7 +255,7 @@ def build_parser():
     s.set_defaults(func=cmd_scan)
 
     sn = sub.add_parser("seminorm", help="seminorm lower-bound estimate")
-    sn.add_argument("--spec", required=True)
+    spec_arg(sn)
     sn.add_argument("--A-lo", dest="A_lo", required=True)
     sn.add_argument("--A-hi", dest="A_hi", required=True)
     sn.add_argument("--s", type=float, required=True)
@@ -263,7 +266,7 @@ def build_parser():
     sn.set_defaults(func=cmd_seminorm)
 
     e = sub.add_parser("embed", help="body valuation T(mu)[K]")
-    e.add_argument("--spec", required=True)
+    spec_arg(e)
     e.add_argument("--polytope", required=True)
     e.add_argument("--grid", default=None)
     common(e)

@@ -60,18 +60,24 @@ def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
 
 def _convex_rows(stack, tol=1e-9):
     """is_discretely_convex for each row of a (B, *grid) value stack, each
-    row against its own scale."""
+    row against its own scale. A stack with no +inf cell skips the masking
+    and the scan-line test, which then hold trivially."""
     rows, ndim = stack.shape[0], stack.ndim - 1
     axes = tuple(range(1, ndim + 1))
     fin = np.isfinite(stack)
-    vals = np.where(fin, stack, 0.0)
+    finite = bool(fin.all())
+    vals = stack if finite else np.where(fin, stack, 0.0)
     thr = -tol * (1.0 + np.max(np.abs(vals), axis=axes))
     ok = np.ones(rows, dtype=bool)
     for d in _directions(ndim):
         vm, vc, vp = _shifted_views(vals, (0,) + d)
-        fm, fc, fp = _shifted_views(fin, (0,) + d)
-        second = np.where(fm & fc & fp, vm - 2.0 * vc + vp, np.inf)
+        second = vm - 2.0 * vc + vp
+        if not finite:
+            fm, fc, fp = _shifted_views(fin, (0,) + d)
+            second = np.where(fm & fc & fp, second, np.inf)
         ok &= np.min(second, axis=axes) >= thr
+    if finite:
+        return ok
 
     # domain convexity along axis scan lines: no +inf strictly between finite
     for a in axes:
@@ -350,6 +356,18 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
     data (the chordal extrapolation sup); inside it the input is kept
     verbatim. The output is finite everywhere and discretely convex.
     """
+    fill = np.ones(f.domain.shape, dtype=bool)
+    return ExtGridFn(f.domain, _extend(f, A_lo, A_hi, s, fill))
+
+
+def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
+    """Values of extend_from_subdomain(f, A_lo, A_hi, s) at the cells where
+    the boolean grid `fill` is set and inside the source box; f's own values
+    at the other cells outside it.
+
+    Every check runs whatever `fill` is. The hull is built, and scipy
+    loaded, only when a cell to fill lies outside the box.
+    """
     dom = f.domain
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
     A_hi = np.atleast_1d(np.asarray(A_hi, dtype=float))
@@ -371,6 +389,10 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
         f.values[tuple(slice(a, b + 1) for a, b in zip(il, iu))])
     if not is_discretely_convex(sub):
         raise ConvexityViolation("f must be discretely convex on the source box")
+    out = np.array(f.values)
+    targets = fill & ~box
+    if not np.any(targets):
+        return out
 
     # Only facets with a vertex on the box boundary can be the largest plane
     # outside the box. Take x outside, any lower facet F with plane P, a point
@@ -378,16 +400,11 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
     # facet containing b has a vertex on the box face through b; its plane Q
     # touches the envelope at b while P touches it at z. Q - P is affine along
     # the segment, <= 0 at z and >= 0 at b, so Q(x) >= P(x) beyond b.
-    pts_in = dom.points()[box.ravel()]
-    vals_in = f.values[box]
+    pts = dom.points()
     edge = ~_interior_mask(sub.domain.shape).ravel()
-    slopes, offsets = _lower_hull_planes(pts_in, vals_in, edge)
-    out = np.array(f.values)
-    outside = ~box
-    pts_out = dom.points()[outside.ravel()]
-    out[outside] = _pairing_max(pts_out, slopes, -offsets)
-    out[box] = f.values[box]
-    return ExtGridFn(dom, out)
+    slopes, offsets = _lower_hull_planes(pts[box.ravel()], f.values[box], edge)
+    out[targets] = _pairing_max(pts[targets.ravel()], slopes, -offsets)
+    return out
 
 
 def _connected(mask):

@@ -188,6 +188,19 @@ def _interpolate_rows(stack, idx, w):
     return out
 
 
+def _dilate(mask):
+    """Cells in the 3^n box around a marked cell: one shift each way per axis."""
+    out = mask
+    for a in range(mask.ndim):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        grown = out.copy()
+        grown[hi] |= out[lo]
+        grown[lo] |= out[hi]
+        out = grown
+    return out
+
+
 def interpolate(f: ExtGridFn, pts):
     """Multilinear interpolation of f at points; exact on grid nodes and affine data.
 

@@ -15,12 +15,12 @@ from math import comb, factorial, inf
 
 import numpy as np
 
-from .convex import (_by_rows, _convex_rows, _discrete_c2_bound, extend_from_subdomain,
-                     is_discretely_convex)
+from .convex import _by_rows, _convex_rows, _discrete_c2_bound, _extend, is_discretely_convex
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
-from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values
+from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate
 from .sampling import random_convex_fn
-from .valuations import PairingMeasure, _evaluate_stack, evaluate, intrinsic_domain
+from .valuations import (PairingMeasure, _evaluate_stack, _read_mask, evaluate,
+                         intrinsic_domain)
 
 REL_STEP_TOL = 1e-7
 _EPS = np.finfo(float).eps
@@ -253,19 +253,6 @@ def _support_masks(tests, domain):
     return masks
 
 
-def _dilate(mask):
-    """Cells in the 3^n box around a marked cell: one shift each way per axis."""
-    out = mask
-    for a in range(mask.ndim):
-        lo = (slice(None),) * a + (slice(None, -1),)
-        hi = (slice(None),) * a + (slice(1, None),)
-        grown = out.copy()
-        grown[hi] |= out[lo]
-        grown[lo] |= out[hi]
-        out = grown
-    return out
-
-
 def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
                          base: ExtGridFn | None = None,
                          step: float | None = None) -> float:
@@ -354,10 +341,12 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     """Lower bound for sup{|mu(f)| : sup norm of f at most 1 on the grown box}.
 
     Sample 0 is the canonical cone scaled to span [-1, 1] on the norm box;
-    further samples are random convex functions normalized there. Every
-    sample is pushed through extend_from_subdomain before evaluation, so the
-    estimate only ever sees canonical extensions of box data. Deterministic
-    in `seed`; the sample stream makes the estimate monotone in n_samples.
+    further samples are random convex functions normalized there. Each
+    sample's canonical extension (extend_from_subdomain, with all its checks)
+    is computed at the cells mu reads, so the estimate only ever sees
+    canonical extensions of box data; when those cells lie in the source box
+    no hull is built. Deterministic in `seed`; the sample stream makes the
+    estimate monotone in n_samples.
     """
     dom = _resolve_domain(spec, None, domain)
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
@@ -371,6 +360,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     norm_box = np.all((pts >= A_lo - 2 * s - pad) & (pts <= A_hi + 2 * s + pad),
                       axis=1).reshape(dom.shape)
     center = (A_lo + A_hi) / 2.0
+    reads = _read_mask(spec, dom)
     rng = np.random.default_rng(seed)
     exts = []
     for i in range(n_samples):
@@ -384,5 +374,5 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
         m = float(np.max(np.abs(f.values[norm_box])))
         if m > 0:
             f = ExtGridFn(dom, f.values / m)
-        exts.append(extend_from_subdomain(f, A_lo, A_hi, s).values)
+        exts.append(_extend(f, A_lo, A_hi, s, reads))
     return float(np.max(np.abs(_evaluate_stack(spec, dom, np.stack(exts)))))

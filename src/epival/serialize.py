@@ -56,10 +56,23 @@ def _domain_to_dict(domain: GridDomain):
             "shape": [int(s) for s in domain.shape]}
 
 
+def _entries(v):
+    return v if isinstance(v, list) else [v]
+
+
 def _domain_from_dict(obj):
     try:
-        return GridDomain(obj["lo"], obj["hi"], obj["shape"])
+        lo, hi, shape = obj["lo"], obj["hi"], obj["shape"]
     except (KeyError, TypeError) as err:
+        raise FormatError(f"bad domain record: {err}") from err
+    # JSON true/false would read as 1/0 and 5.7 would truncate to 5
+    if any(isinstance(v, bool) for v in _entries(lo) + _entries(hi)):
+        raise FormatError("bad domain record: lo and hi must be numbers")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in _entries(shape)):
+        raise FormatError("bad domain record: shape entries must be integers")
+    try:
+        return GridDomain(lo, hi, shape)
+    except TypeError as err:
         raise FormatError(f"bad domain record: {err}") from err
 
 
@@ -70,7 +83,7 @@ def _encode_value(v):
 def _decode_value(v):
     if v == "inf":
         return np.inf
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         v = float(v)
         if not np.isfinite(v):
             raise FormatError("non-finite numeric value in grid file")
@@ -86,8 +99,9 @@ def save_grid_fn(f: ExtGridFn, path):
 
 def load_grid_fn(path) -> ExtGridFn:
     obj = load_json(path)
-    if not isinstance(obj, dict) or "domain" not in obj or "values" not in obj:
-        raise FormatError("grid file needs 'domain' and 'values'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list) \
+            or "domain" not in obj:
+        raise FormatError("grid file needs 'domain' and a 'values' list")
     domain = _domain_from_dict(obj["domain"])
     values = np.array([_decode_value(v) for v in obj["values"]])
     if values.size != domain.size:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .convex import body_to_function, central_hessian_at, is_discretely_convex, restrict
 from .errors import ConvexityViolation
-from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _interpolate_rows,
+from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _dilate, _interpolate_rows,
                     _interpolation_corners)
 
 WEIGHT_CONDITION_TOL = 1e-10
@@ -188,6 +188,30 @@ def _evaluate_stack(spec, domain: GridDomain, stack):
         for c, s in spec.terms:
             total = total + c * _evaluate_stack(s, domain, stack)
         return total
+    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+
+
+def _read_mask(spec, domain: GridDomain):
+    """Boolean grid of every cell _evaluate_stack(spec, domain, .) may read:
+    changing a row anywhere else leaves that row's value unchanged."""
+    if callable(spec):
+        return np.ones(domain.shape, dtype=bool)
+    if isinstance(spec, Constant):
+        return np.zeros(domain.shape, dtype=bool)
+    if isinstance(spec, PairingMeasure):
+        idx, _ = _interpolation_corners(domain, spec.nodes)
+        mask = np.zeros(domain.size, dtype=bool)
+        mask[idx.ravel()] = True
+        return mask.reshape(domain.shape)
+    if isinstance(spec, HessianDensity):
+        if not domain.same_as(spec.weight.domain):
+            raise ValueError("probe function domain differs from the weight domain")
+        return _dilate(spec.weight.values != 0.0)  # the 3^n central-difference stencil
+    if isinstance(spec, Composite):
+        mask = np.zeros(domain.shape, dtype=bool)
+        for _, s in spec.terms:
+            mask |= _read_mask(s, domain)
+        return mask
     raise TypeError(f"not a valuation spec: {type(spec).__name__}")
 
 

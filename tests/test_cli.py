@@ -316,3 +316,56 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+GRID_1D = {"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
+           "values": [1.0, 0.25, 0.0, 0.25, 1.0]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("values", [True, 0.25, 0.0, 0.25, 1.0]),
+    ("values", 5),
+    ("shape", [5.7]),
+    ("shape", [5.0]),
+    ("lo", [False]),
+])
+def test_malformed_grid_file_exit2(tmp_path, capsys, field, value):
+    obj = json.loads(json.dumps(GRID_1D))
+    (obj if field == "values" else obj["domain"])[field] = value
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    rc = main(["transform", "--op", "legendre", "--in", str(fin), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["f.json"]
+
+
+def test_transform_takes_no_unchecked(tmp_path, capsys):
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(GRID_1D))
+    argv = ["transform", "--op", "legendre", "--in", str(fin),
+            "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--unchecked"])
+    assert exc.value.code == 2
+    assert "--unchecked" in capsys.readouterr().err
+    assert main(argv + ["--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("nodes, scipy_loaded", [
+    ([[1.0], [-1.0], [0.0]], False),   # every read cell in the source box [-1.4, 1.4]
+    ([[1.8], [0.2], [1.0]], True),     # a node outside it: the hull runs
+])
+def test_seminorm_loads_scipy_only_for_reads_outside_the_box(tmp_path, nodes, scipy_loaded):
+    dump_json_atomic({"kind": "pairing", "nodes": nodes, "weights": [1.0, 1.0, -2.0]},
+                     tmp_path / "mu.json")
+    argv = ["seminorm", "--spec", str(tmp_path / "mu.json"), "--A-lo=-1.2",
+            "--A-hi", "1.2", "--s", "0.2", "--samples", "4", "--grid=-2:2:81"]
+    code = ("import sys\nfrom epival.cli import main\n"
+            f"rc = main({argv!r})\nprint(rc, 'scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epival.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == f"0 {scipy_loaded}"

@@ -82,6 +82,24 @@ def test_convexity_rows_are_checked_independently():
     assert got.tolist() == [is_discretely_convex(ExtGridFn(d, r)) for r in rows]
 
 
+def test_convexity_all_finite_stack_agrees_with_masked_stack():
+    d = grid2d(n=15)
+    p = d.points()
+    r2 = np.sum(p**2, axis=1).reshape(d.shape)
+    rng = np.random.default_rng(23)
+    disc = np.where(r2 <= 2.0, r2, np.inf)
+    holed = np.array(r2)
+    holed[7, 3] = np.inf                                  # +inf between finite cells
+    finite = [random_convex_fn(d, rng).values for _ in range(3)] + [
+        -r2, r2 + 0.2 * rng.normal(size=d.shape), np.abs(p[:, 0] - p[:, 1]).reshape(d.shape)]
+    with_inf = [disc, holed, np.where(r2 <= 2.0, -r2, np.inf)]
+    stack = np.array(finite + with_inf)
+    got = _convex_rows(stack)
+    assert got.tolist() == [is_discretely_convex(ExtGridFn(d, r)) for r in stack]
+    assert got.tolist() == [True] * 3 + [False, False, True, True, False, False]
+    assert np.array_equal(_convex_rows(stack[:len(finite)]), got[:len(finite)])
+
+
 def test_convexity_rejects_bad_inputs():
     d = grid1d(n=5)
     with pytest.raises(ValueError):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import epival.convex
+import epival.gw
 from epival import (
     Bump,
+    Composite,
     Constant,
     ConvexityViolation,
     DomainExceeded,
@@ -317,3 +319,50 @@ def test_seminorm_monotone_and_deterministic():
     assert big == again
     with pytest.raises(DomainExceeded):
         seminorm_estimate(mu1(), [-1.9], [1.9], 0.2, 4, seed=1, domain=d)
+
+
+def _seminorm_specs(ndim):
+    """Specs of every kind on a grid whose source box [A_lo - s, A_hi + s] is
+    [-1.1, 1.1]^n: some read only cells inside it, some cells outside."""
+    if ndim == 1:
+        d = GridDomain([-2.0], [2.0], [81])
+        inside = PairingMeasure([[-0.5], [0.0], [0.5]], [1.0, -2.0, 1.0])
+        outside = PairingMeasure([[0.03], [0.78], [1.53]], [1.0, -2.0, 1.0])
+
+        def hess(c, r):
+            return HessianDensity(1, Bump([c], r, 1.0).sample(d))
+    else:
+        d = GridDomain([-2.0, -2.0], [2.0, 2.0], [33, 33])
+        star = np.array([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]])
+        lap = [-4.0, 1.0, 1.0, 1.0, 1.0]
+        inside = PairingMeasure(star, lap)
+        outside = PairingMeasure(star + [1.17, 0.1], lap)
+
+        def hess(c, r):
+            return HessianDensity(2, Bump([c, 0.1], r, 1.0).sample(d))
+    A = ([-0.8] * ndim, [0.8] * ndim, 0.3)
+    specs = {
+        "pairing-inside": inside,
+        "pairing-outside": outside,
+        "hessian-inside": hess(0.0, 0.6),
+        "hessian-straddling": hess(1.0, 0.5),
+        "composite": Composite([(1.0, outside), (-0.5, hess(0.0, 0.6)),
+                                (2.0, Constant(1.0))]),
+        "constant": Constant(1.5),
+        "callable": lambda f: float(np.sum(f.values)),
+    }
+    return d, A, specs
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("kind", ["pairing-inside", "pairing-outside", "hessian-inside",
+                                  "hessian-straddling", "composite", "constant", "callable"])
+def test_seminorm_read_mask_matches_full_extension(monkeypatch, ndim, kind):
+    d, (A_lo, A_hi, s), specs = _seminorm_specs(ndim)
+    spec = specs[kind]
+    got = seminorm_estimate(spec, A_lo, A_hi, s, 6, seed=5, domain=d)
+    monkeypatch.setattr(epival.gw, "_read_mask", lambda spec, dom: np.ones(dom.shape, bool))
+    full = seminorm_estimate(spec, A_lo, A_hi, s, 6, seed=5, domain=d)
+    assert got == full
+    if kind != "constant":
+        assert got > 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epival import (
     Bump,
@@ -27,7 +28,7 @@ from epival import (
     valuation_residual,
 )
 
-from epival.valuations import _evaluate_stack
+from epival.valuations import _evaluate_stack, _read_mask
 
 from helpers import (grid1d, grid2d, inclusion_exclusion_mixed_determinant,
                      mixed_coeff_oracle, quadratic, sample)
@@ -124,6 +125,62 @@ def test_evaluate_stack_errors():
         _evaluate_stack(outside, d, stack[:1])
     with pytest.raises(ValueError, match="domain"):
         _evaluate_stack(specs["hessian-field-aux"], grid2d(n=19), np.zeros((1, 19, 19)))
+
+
+def _random_spec(kind, d, rng):
+    """A spec with random nodes, or a random scattered weight off the 2-cell
+    margin; the moment conditions are not needed for reading cells."""
+    n = d.ndim
+    if kind == "pairing":
+        nodes = rng.uniform(d.lo, d.hi, size=(int(rng.integers(1, 5)), n))
+        nodes[0] = d.lo + d.spacing * rng.integers(0, np.array(d.shape), size=n)  # a grid node
+        return PairingMeasure(nodes, rng.normal(size=nodes.shape[0]), check=False)
+    if kind == "constant":
+        return Constant(float(rng.normal()))
+    inner = np.zeros(d.shape, dtype=bool)
+    inner[(slice(2, -2),) * n] = True
+    w = np.where(inner & (rng.random(d.shape) < 0.1), rng.normal(size=d.shape), 0.0)
+    if kind == "hessian-aux" and n > 1:
+        a = rng.normal(size=(n, n))
+        return HessianDensity(n - 1, ExtGridFn(d, w), aux=[a + a.T])
+    if kind.startswith("hessian"):
+        return HessianDensity(n, ExtGridFn(d, w))
+    return Composite([(1.0, _random_spec("pairing", d, rng)),
+                      (-2.0, _random_spec("hessian", d, rng))])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["pairing", "hessian", "hessian-aux", "composite", "constant"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_values_outside_read_mask_do_not_change_evaluation(ndim, kind, seed):
+    rng = np.random.default_rng(seed)
+    d = grid1d(n=17) if ndim == 1 else grid2d(n=13)
+    spec = _random_spec(kind, d, rng)
+    reads = _read_mask(spec, d)
+    assert not reads.all()
+    stack = rng.normal(size=(3,) + d.shape)
+    other = np.where(rng.random(stack.shape) < 0.3, np.inf, 1e3 * rng.normal(size=stack.shape))
+    changed = np.where(reads, stack, other)
+    assert np.array_equal(_evaluate_stack(spec, d, changed), _evaluate_stack(spec, d, stack))
+
+
+def test_read_mask_of_each_spec_kind():
+    d = grid1d(n=9)  # nodes at -2, -1.5, ..., 2
+    pairing = PairingMeasure([[-1.25], [0.0]], [1.0, -1.0], check=False)
+    assert _read_mask(pairing, d).nonzero()[0].tolist() == [1, 2, 4, 5]
+    w = np.zeros(9)
+    w[4] = 1.0
+    hess = HessianDensity(1, ExtGridFn(d, w))
+    assert _read_mask(hess, d).nonzero()[0].tolist() == [3, 4, 5]
+    assert not _read_mask(Constant(2.0), d).any()
+    assert _read_mask(lambda f: 0.0, d).all()
+    both = _read_mask(Composite([(1.0, pairing), (3.0, hess)]), d)
+    assert both.nonzero()[0].tolist() == [1, 2, 3, 4, 5]
+    with pytest.raises(DomainExceeded):
+        _read_mask(PairingMeasure([[2.5], [0.0]], [1.0, -1.0], check=False), d)
+    with pytest.raises(ValueError, match="domain"):
+        _read_mask(hess, grid1d(n=11))
 
 
 def test_pairing_weight_conditions_enforced():
