@@ -43,7 +43,6 @@ from .valuations import (
     HomogeneousComponents,
     PairingMeasure,
     component_functional,
-    degree,
     depi_invariance_residual,
     embed_T,
     evaluate,
@@ -60,7 +59,7 @@ __all__ = [
     "ExtGridFn", "FormatError", "GWQuery", "GridDomain", "HessianDensity",
     "HomogeneousComponents", "PairingMeasure", "Polytope", "ScanMask",
     "StepAgreementError", "biconjugate", "biconjugate_gap", "body_to_function",
-    "component_functional", "convex_split", "default_dual_domain", "degree",
+    "component_functional", "convex_split", "default_dual_domain",
     "depi_invariance_residual", "diagonality_residual", "embed_T",
     "epi_distance", "evaluate", "extend_from_subdomain", "gw_eval",
     "gw_report", "homogeneous_decompose", "interpolate",

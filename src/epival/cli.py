@@ -21,27 +21,37 @@ from .errors import FormatError
 from .grids import Bump, GridDomain
 
 
-def _parse_grid(text) -> GridDomain:
+def finite(text) -> float:
+    """float(text), refusing NaN and +-inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _vector(text):
+    return [finite(v) for v in text.split(",")]
+
+
+def _grid(text) -> GridDomain:
+    lo, hi, shape = text.split(":")
+    return GridDomain(_vector(lo), _vector(hi), [int(v) for v in shape.split(",")])
+
+
+def _bump(text) -> Bump:
+    center, radius, amp = text.split(":")
+    return Bump(_vector(center), finite(radius), finite(amp))
+
+
+def _parsed(option, read, text):
+    """read(text), with a ValueError raised as a FormatError (exit 2);
+    None when the option was not given."""
+    if text is None:
+        return None
     try:
-        lo, hi, shape = text.split(":")
-        return GridDomain([float(v) for v in lo.split(",")],
-                          [float(v) for v in hi.split(",")],
-                          [int(v) for v in shape.split(",")])
+        return read(text)
     except ValueError as err:
-        raise FormatError(f"bad --grid value {text!r}: {err}") from err
-
-
-def _parse_bump(text) -> Bump:
-    try:
-        center, radius, amp = text.split(":")
-        return Bump([float(v) for v in center.split(",")],
-                    float(radius), float(amp))
-    except ValueError as err:
-        raise FormatError(f"bad --bump value {text!r}: {err}") from err
-
-
-def _parse_vector(text):
-    return [float(v) for v in text.split(",")]
+        raise FormatError(f"bad {option} value {text!r}: {err}") from err
 
 
 def _check_out(path):
@@ -52,50 +62,32 @@ def _check_out(path):
         raise OSError(f"cannot write {path!r}: not a file in a writable directory")
 
 
-def _emit(report):
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-
-
-def _config(args, keys):
-    return {k: getattr(args, k) for k in keys}
-
-
-def cmd_transform(args):
+def cmd_transform(args, spec):
     f = serialize.load_grid_fn(args.infile)
-    config = _config(args, ["op", "infile", "out", "r", "R", "grid"])
     if args.op == "legendre":
-        dual = _parse_grid(args.grid) if args.grid else None
-        out = convex.legendre(f, dual)
-        gap = convex.biconjugate_gap(f)
-        sup_diff = None
+        out = convex.legendre(f, _parsed("--grid", _grid, args.grid))
+        key, cells = "sup_diff_vs_input", None
         if out.domain.same_as(f.domain):
-            both = f.finite_mask & out.finite_mask
-            sup_diff = float(np.max(np.abs(out.values[both] - f.values[both])))
-        report = {"biconjugate_gap": gap, "sup_diff_vs_input": sup_diff}
+            cells = f.finite_mask & out.finite_mask
     elif args.op == "reg":
         if args.r is None:
             raise ValueError("--op reg requires --r")
         out = convex.lipschitz_regularize(f, args.r)
-        report = {"biconjugate_gap": convex.biconjugate_gap(f),
-                  "sup_change": float(np.max(np.abs(
-                      out.values[f.finite_mask] - f.values[f.finite_mask])))}
-    elif args.op == "reconstruct":
+        key, cells = "sup_change", f.finite_mask
+    else:
         if args.R is None:
             raise ValueError("--op reconstruct requires --R")
         out = convex.reconstruct_from_conjugate(f, args.R)
-        ball = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
-        report = {"biconjugate_gap": convex.biconjugate_gap(f),
-                  "sup_error_ball": float(np.max(np.abs(
-                      out.values[ball] - f.values[ball])))}
-    else:
-        raise ValueError(f"unknown transform op {args.op!r}")
+        key = "sup_error_ball"
+        cells = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
+    report = {"biconjugate_gap": convex.biconjugate_gap(f), key: None}
+    if cells is not None:
+        report[key] = float(np.max(np.abs(out.values[cells] - f.values[cells])))
     serialize.save_grid_fn(out, args.out)
-    _emit({"command": "transform", "config": config, **report})
-    return 0
+    return report
 
 
-def cmd_decompose(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
+def cmd_decompose(args, spec):
     f = serialize.load_grid_fn(args.infile)
     n = args.n if args.n is not None else f.domain.ndim
     parts = valuations.homogeneous_decompose(spec, f, n)
@@ -104,132 +96,88 @@ def cmd_decompose(args):
         lines.append(f"{d},{float(v)!r}")
     lines.append(f"residual_{n + 1},{float(parts.top_residual)!r}")
     serialize.dump_text_atomic("\n".join(lines) + "\n", args.out)
-    _emit({"command": "decompose",
-           "config": _config(args, ["spec", "infile", "out", "n", "unchecked"]),
-           "components": [float(v) for v in parts.components],
-           "top_residual": parts.top_residual})
-    return 0
+    return {"components": [float(v) for v in parts.components],
+            "top_residual": parts.top_residual}
 
 
-def cmd_polarize(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
+def cmd_polarize(args, spec):
     fs = [serialize.load_grid_fn(p) for p in args.inputs]
-    value = gw.polarize(spec, args.k, fs)
-    report = {"command": "polarize",
-              "config": _config(args, ["spec", "k", "inputs", "unchecked"]),
-              "value": value}
-    if args.out:
-        serialize.dump_json_atomic(report, args.out)
-    _emit(report)
-    return 0
+    return {"value": gw.polarize(spec, args.k, fs)}
 
 
-def cmd_gw(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
-    domain = _parse_grid(args.grid) if args.grid else None
-    tests = [_parse_bump(b) for b in args.bump]
+def cmd_gw(args, spec):
+    domain = _parsed("--grid", _grid, args.grid)
+    tests = [_parsed("--bump", _bump, b) for b in args.bump]
     tests += [serialize.load_grid_fn(p) for p in args.test]
     base = serialize.load_grid_fn(args.base) if args.base else None
-    config = _config(args, ["spec", "k", "bump", "test", "base", "grid",
-                            "h", "diagonality", "unchecked"])
     if args.diagonality:
-        residual = gw.diagonality_residual(spec, args.k, tests, domain=domain,
-                                           base=base, step=args.h)
-        report = {"command": "gw", "config": config, "residual": residual}
-    else:
-        query = gw.GWQuery(args.k, tests, base=base, step=args.h)
-        report = {"command": "gw", "config": config,
-                  **gw.gw_report(spec, query, domain)}
-    if args.out:
-        serialize.dump_json_atomic(report, args.out)
-    _emit(report)
-    return 0
+        return {"residual": gw.diagonality_residual(spec, args.k, tests, domain=domain,
+                                                    base=base, step=args.h)}
+    return gw.gw_report(spec, gw.GWQuery(args.k, tests, base=base, step=args.h), domain)
 
 
-def cmd_scan(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
-    domain = _parse_grid(args.grid) if args.grid else None
+def cmd_scan(args, spec):
     mask = gw.support_scan(spec, args.k, args.probe_radius, args.tol,
-                           domain=domain)
+                           domain=_parsed("--grid", _grid, args.grid))
     serialize.save_mask(mask, args.out)
-    _emit({"command": "scan",
-           "config": _config(args, ["spec", "k", "probe_radius", "tol",
-                                    "grid", "out", "unchecked"]),
-           "marked_cells": mask.count})
-    return 0
+    return {"marked_cells": mask.count}
 
 
-def cmd_seminorm(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
-    domain = _parse_grid(args.grid) if args.grid else None
-    value = gw.seminorm_estimate(spec, _parse_vector(args.A_lo),
-                                 _parse_vector(args.A_hi), args.s,
+def cmd_seminorm(args, spec):
+    domain = _parsed("--grid", _grid, args.grid)
+    value = gw.seminorm_estimate(spec, _parsed("--A-lo", _vector, args.A_lo),
+                                 _parsed("--A-hi", _vector, args.A_hi), args.s,
                                  args.samples, args.seed, domain=domain)
-    report = {"command": "seminorm",
-              "config": _config(args, ["spec", "A_lo", "A_hi", "s", "samples",
-                                       "seed", "grid", "unchecked"]),
-              "estimate": value, "samples": args.samples, "seed": args.seed}
-    if args.out:
-        serialize.dump_json_atomic(report, args.out)
-    _emit(report)
-    return 0
+    return {"estimate": value, "samples": args.samples, "seed": args.seed}
 
 
-def cmd_embed(args):
-    spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked)
+def cmd_embed(args, spec):
     K = serialize.load_polytope(args.polytope)
-    domain = _parse_grid(args.grid) if args.grid else None
-    value = valuations.embed_T(spec, K, domain)
-    _emit({"command": "embed",
-           "config": _config(args, ["spec", "polytope", "grid", "unchecked"]),
-           "value": value})
-    return 0
+    return {"value": valuations.embed_T(spec, K, _parsed("--grid", _grid, args.grid))}
 
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="epival",
-        description="Valuations on grid-sampled convex functions")
+        prog="epival", description="Valuations on grid-sampled convex functions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def command(name, func, summary, spec=True, out=None):
+        """A subcommand. out="data": --out is the data file it writes, echoed
+        in the config. out="report": --out optionally receives a copy of the
+        report and stays out of its config, so reruns that write to different
+        files print and write the same bytes."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if spec:
+            sp.add_argument("--spec", required=True)
+            sp.add_argument("--unchecked", action="store_true",
+                            help="skip the pairing weight-condition check")
+        if out == "data":
+            sp.add_argument("--out", required=True)
+        elif out == "report":
+            sp.add_argument("--out", dest="report_out", default=None)
+        return sp
 
-    def spec_arg(sp):
-        sp.add_argument("--spec", required=True)
-        sp.add_argument("--unchecked", action="store_true",
-                        help="skip the pairing weight-condition check")
-
-    t = sub.add_parser("transform", help="legendre / reg / reconstruct")
-    t.add_argument("--op", required=True,
-                   choices=["legendre", "reg", "reconstruct"])
+    t = command("transform", cmd_transform, "legendre / reg / reconstruct",
+                spec=False, out="data")
+    t.add_argument("--op", required=True, choices=["legendre", "reg", "reconstruct"])
     t.add_argument("--in", dest="infile", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--r", type=float, default=None)
-    t.add_argument("--R", type=float, default=None)
-    t.add_argument("--grid", default=None,
-                   help="dual grid for --op legendre, lo:hi:shape")
-    common(t)
-    t.set_defaults(func=cmd_transform)
+    t.add_argument("--r", type=finite, default=None)
+    t.add_argument("--R", type=finite, default=None)
+    t.add_argument("--grid", help="dual grid for --op legendre, lo:hi:shape")
 
-    d = sub.add_parser("decompose", help="homogeneous components as CSV")
-    spec_arg(d)
+    d = command("decompose", cmd_decompose, "homogeneous components as CSV",
+                out="data")
     d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--out", required=True)
     d.add_argument("--n", type=int, default=None)
-    common(d)
-    d.set_defaults(func=cmd_decompose)
 
-    pol = sub.add_parser("polarize", help="multilinear polarization value")
-    spec_arg(pol)
+    pol = command("polarize", cmd_polarize, "multilinear polarization value",
+                  out="report")
     pol.add_argument("--k", type=int, required=True)
     pol.add_argument("--inputs", nargs="+", required=True)
-    pol.add_argument("--out", default=None)
-    common(pol)
-    pol.set_defaults(func=cmd_polarize)
 
-    g = sub.add_parser("gw", help="Goodey-Weil pairing / diagonality residual")
-    spec_arg(g)
+    g = command("gw", cmd_gw, "Goodey-Weil pairing / diagonality residual",
+                out="report")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--bump", action="append", default=[],
                    help="center:radius:amplitude, e.g. 0.5,0:0.4:1")
@@ -237,54 +185,50 @@ def build_parser():
                    help="grid-function file used as a test function")
     g.add_argument("--base", default=None)
     g.add_argument("--grid", default=None, help="lo:hi:shape, comma-separated")
-    g.add_argument("--h", type=float, default=None)
+    g.add_argument("--h", type=finite, default=None)
     g.add_argument("--diagonality", action="store_true")
-    g.add_argument("--out", default=None)
-    common(g)
-    g.set_defaults(func=cmd_gw)
 
-    s = sub.add_parser("scan", help="support scan mask")
-    spec_arg(s)
+    s = command("scan", cmd_scan, "support scan mask", out="data")
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--probe-radius", dest="probe_radius", type=float,
+    s.add_argument("--probe-radius", dest="probe_radius", type=finite,
                    required=True)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--tol", type=finite, default=1e-6)
     s.add_argument("--grid", default=None)
-    s.add_argument("--out", required=True)
-    common(s)
-    s.set_defaults(func=cmd_scan)
 
-    sn = sub.add_parser("seminorm", help="seminorm lower-bound estimate")
-    spec_arg(sn)
+    sn = command("seminorm", cmd_seminorm, "seminorm lower-bound estimate",
+                 out="report")
     sn.add_argument("--A-lo", dest="A_lo", required=True)
     sn.add_argument("--A-hi", dest="A_hi", required=True)
-    sn.add_argument("--s", type=float, required=True)
+    sn.add_argument("--s", type=finite, required=True)
     sn.add_argument("--samples", type=int, default=32)
+    sn.add_argument("--seed", type=int, default=0)
     sn.add_argument("--grid", default=None)
-    sn.add_argument("--out", default=None)
-    common(sn)
-    sn.set_defaults(func=cmd_seminorm)
 
-    e = sub.add_parser("embed", help="body valuation T(mu)[K]")
-    spec_arg(e)
+    e = command("embed", cmd_embed, "body valuation T(mu)[K]")
     e.add_argument("--polytope", required=True)
     e.add_argument("--grid", default=None)
-    common(e)
-    e.set_defaults(func=cmd_embed)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report_out = vars(args).pop("report_out", None)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
-        return args.func(args)
+        out = report_out or getattr(args, "out", None)
+        if out:
+            _check_out(out)
+        spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked) \
+            if "spec" in config else None
+        report = {"command": args.command, "config": config, **args.func(args, spec)}
+        if report_out:
+            serialize.dump_json_atomic(report, report_out)
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+        return 0
     except (OSError, FormatError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (ValueError, TypeError, np.linalg.LinAlgError) as err:
+    except (ValueError, TypeError, ArithmeticError, np.linalg.LinAlgError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 3
 

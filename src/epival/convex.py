@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .errors import ConvexityViolation, DomainExceeded
-from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask
+from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mask
 
 _BLOCK = 1 << 21  # floats in one temporary block of the row-blocked kernels
 
@@ -188,21 +188,10 @@ def biconjugate(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridF
     return ExtGridFn(f.domain, vals)
 
 
-def _interior_mask(shape):
-    m = np.ones(shape, dtype=bool)
-    for a in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[a] = 0
-        m[tuple(sl)] = False
-        sl[a] = shape[a] - 1
-        m[tuple(sl)] = False
-    return m
-
-
 def biconjugate_gap(f: ExtGridFn, dual_domain: GridDomain | None = None) -> float:
     """sup over finite interior cells of |f** - f|; zero certifies convexity."""
     fss = biconjugate(f, dual_domain)
-    sel = _interior_mask(f.domain.shape) & f.finite_mask
+    sel = ~_margin_mask(f.domain.shape, 1) & f.finite_mask
     if not np.any(sel):
         return 0.0
     return float(np.max(np.abs(fss.values[sel] - f.values[sel])))
@@ -401,7 +390,7 @@ def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
     # touches the envelope at b while P touches it at z. Q - P is affine along
     # the segment, <= 0 at z and >= 0 at b, so Q(x) >= P(x) beyond b.
     pts = dom.points()
-    edge = ~_interior_mask(sub.domain.shape).ravel()
+    edge = _margin_mask(sub.domain.shape, 1).ravel()
     slopes, offsets = _lower_hull_planes(pts[box.ravel()], f.values[box], edge)
     out[targets] = _pairing_max(pts[targets.ravel()], slopes, -offsets)
     return out

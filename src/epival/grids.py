@@ -111,13 +111,6 @@ class ExtGridFn:
     def finite_mask(self):
         return np.isfinite(self.values)
 
-    def __add__(self, other):
-        if isinstance(other, ExtGridFn):
-            if not self.domain.same_as(other.domain):
-                raise ValueError("domains differ")
-            return ExtGridFn(self.domain, self.values + other.values)
-        return ExtGridFn(self.domain, self.values + other)
-
     def __mul__(self, t):
         t = float(t)
         if t < 0:
@@ -201,6 +194,18 @@ def _dilate(mask):
     return out
 
 
+def _margin_mask(shape, width):
+    """Cells within `width` of the grid boundary on some axis."""
+    m = np.zeros(shape, dtype=bool)
+    for a in range(len(shape)):
+        sl = [slice(None)] * len(shape)
+        sl[a] = slice(0, width)
+        m[tuple(sl)] = True
+        sl[a] = slice(shape[a] - width, shape[a])
+        m[tuple(sl)] = True
+    return m
+
+
 def interpolate(f: ExtGridFn, pts):
     """Multilinear interpolation of f at points; exact on grid nodes and affine data.
 
@@ -272,12 +277,22 @@ class Bump:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "amplitude", float(amplitude))
 
+    def _points(self, pts):
+        """pts as (N, n), refusing points whose dimension is not the center's,
+        which numpy would otherwise broadcast against it."""
+        pts = np.atleast_2d(pts)
+        if pts.shape[1] != self.center.size:
+            raise ValueError(f"bump center has dimension {self.center.size}, "
+                             f"points have dimension {pts.shape[1]}")
+        return pts
+
     def _u(self, pts):
-        d = np.atleast_2d(pts) - self.center
+        d = self._points(pts) - self.center
         return np.sum(d * d, axis=1) / self.radius**2, d
 
     def value(self, pts):
-        return _bump_values(pts, self.center[None], self.radius, self.amplitude)[0]
+        return _bump_values(self._points(pts), self.center[None], self.radius,
+                            self.amplitude)[0]
 
     def gradient(self, pts):
         u, d = self._u(pts)

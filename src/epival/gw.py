@@ -359,6 +359,8 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     pts = dom.points()
     norm_box = np.all((pts >= A_lo - 2 * s - pad) & (pts <= A_hi + 2 * s + pad),
                       axis=1).reshape(dom.shape)
+    if np.count_nonzero(norm_box) < 2:
+        raise ValueError("the norm box holds fewer than two grid cells")
     center = (A_lo + A_hi) / 2.0
     reads = _read_mask(spec, dom)
     rng = np.random.default_rng(seed)

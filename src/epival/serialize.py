@@ -137,10 +137,12 @@ def load_mask(path) -> ScanMask:
     if not isinstance(obj, dict) or "domain" not in obj or "marked" not in obj:
         raise FormatError("mask file needs 'domain' and 'marked'")
     domain = _domain_from_dict(obj["domain"])
-    marked = np.array(obj["marked"], dtype=int)
-    if marked.size != domain.size or not np.all((marked == 0) | (marked == 1)):
+    marked = obj["marked"]
+    # only the JSON integers 0 and 1: true would read as 1 and 0.5 as 0
+    if not isinstance(marked, list) or len(marked) != domain.size \
+            or any(type(v) is not int or v not in (0, 1) for v in marked):
         raise FormatError("marked must be a flat 0/1 list matching the domain")
-    return ScanMask(domain, marked.astype(bool))
+    return ScanMask(domain, np.array(marked, dtype=bool))
 
 
 def load_valuation_spec(path, check: bool = True):

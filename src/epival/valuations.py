@@ -16,7 +16,7 @@ import numpy as np
 from .convex import body_to_function, central_hessian_at, is_discretely_convex, restrict
 from .errors import ConvexityViolation
 from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _dilate, _interpolate_rows,
-                    _interpolation_corners)
+                    _interpolation_corners, _margin_mask)
 
 WEIGHT_CONDITION_TOL = 1e-10
 
@@ -50,9 +50,6 @@ class PairingMeasure:
     def translate(self, v):
         return PairingMeasure(self.nodes + np.asarray(v, dtype=float),
                               self.weights, check=False)
-
-    def dilate(self, t):
-        return PairingMeasure(self.nodes * float(t), self.weights, check=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +105,6 @@ class Composite:
         object.__setattr__(self, "terms", terms)
 
 
-def _margin_mask(shape, width):
-    m = np.zeros(shape, dtype=bool)
-    for a in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[a] = slice(0, width)
-        m[tuple(sl)] = True
-        sl[a] = slice(shape[a] - width, shape[a])
-        m[tuple(sl)] = True
-    return m
-
-
 def _permutation_signs(n):
     """(permutation, sign) pairs of range(n)."""
     out = []
@@ -137,8 +123,6 @@ def mixed_determinant(*mats):
     Accepts n stacked arrays of shape (..., n, n); broadcasts over leading axes.
     Every term is elementwise, so each leading index is computed on its own.
     """
-    if len(mats) == 1 and isinstance(mats[0], (list, tuple)):
-        mats = tuple(mats[0])
     mats = [np.asarray(m, dtype=float) for m in mats]
     n = mats[0].shape[-1]
     if len(mats) != n:
@@ -218,20 +202,6 @@ def _read_mask(spec, domain: GridDomain):
 def evaluate(spec, f: ExtGridFn) -> float:
     """Value of the valuation described by spec at the grid function f."""
     return float(_evaluate_stack(spec, f.domain, f.values[None])[0])
-
-
-def degree(spec):
-    """Homogeneity degree, or None when a composite mixes degrees."""
-    if isinstance(spec, Constant):
-        return 0
-    if isinstance(spec, PairingMeasure):
-        return 1
-    if isinstance(spec, HessianDensity):
-        return spec.order
-    if isinstance(spec, Composite):
-        degs = {degree(s) for _, s in spec.terms}
-        return degs.pop() if len(degs) == 1 else None
-    return None
 
 
 def intrinsic_domain(spec):

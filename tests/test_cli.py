@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import epival
 from epival import serialize
 from epival import Bump, ExtGridFn, GridDomain, Polytope
-from epival.cli import main
+from epival.cli import build_parser, main
 from epival.serialize import (
     dump_json_atomic,
     load_grid_fn,
@@ -350,7 +352,9 @@ def test_transform_takes_no_unchecked(tmp_path, capsys):
         main(argv + ["--unchecked"])
     assert exc.value.code == 2
     assert "--unchecked" in capsys.readouterr().err
-    assert main(argv + ["--seed", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("nodes, scipy_loaded", [
@@ -369,3 +373,155 @@ def test_seminorm_loads_scipy_only_for_reads_outside_the_box(tmp_path, nodes, sc
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == f"0 {scipy_loaded}"
+
+
+@pytest.mark.parametrize("marked", [[0.5, 1, 1, 1, 0], [0, 1, True, 1, 0],
+                                    [0, 1.0, 1, 1, 0], [0, 2, 1, 1, 0]])
+def test_mask_reader_takes_only_the_integers_0_and_1(tmp_path, marked):
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps({"domain": GRID_1D["domain"], "marked": marked}))
+    with pytest.raises(epival.FormatError):
+        load_mask(path)
+    path.write_text(json.dumps({"domain": GRID_1D["domain"], "marked": [0, 1, 1, 1, 0]}))
+    assert load_mask(path).marked.tolist() == [False, True, True, True, False]
+
+
+def _exit_code(argv):
+    """main's exit code, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _commands(tmp_path):
+    """A small run of every subcommand, each with --out where it takes one."""
+    write_mu1(tmp_path / "mu1.json")
+    write_grid(tmp_path / "f.json", GridDomain([-2.0], [2.0], [33]), lambda p: p[:, 0] ** 2)
+    save_polytope(Polytope([[1.0, 0.0], [-1.0, 0.0]]), tmp_path / "seg.json")
+    spec = ["--spec", str(tmp_path / "mu1.json")]
+    f, out = str(tmp_path / "f.json"), ["--out", str(tmp_path / "out.data")]
+    return {
+        "transform": ["transform", "--op", "reg", "--r", "1.0", "--in", f, *out],
+        "decompose": ["decompose", *spec, "--in", f, *out],
+        "polarize": ["polarize", *spec, "--k", "1", "--inputs", f, *out],
+        "gw": ["gw", *spec, "--k", "1", "--bump=0.3:0.7:1", "--grid=-2:2:65", *out],
+        "scan": ["scan", *spec, "--k", "1", "--probe-radius", "0.3", "--grid=-2:2:33",
+                 *out],
+        "seminorm": ["seminorm", *spec, "--A-lo=-1.2", "--A-hi", "1.2", "--s", "0.2",
+                     "--samples", "4", "--seed", "7", "--grid=-2:2:41", *out],
+        "embed": ["embed", *spec, "--polytope", str(tmp_path / "seg.json"),
+                  "--grid=-2:2:129"],
+    }
+
+
+REPORT_OUT = {"polarize", "gw", "seminorm"}
+
+
+@pytest.mark.parametrize("command", ["transform", "decompose", "polarize", "gw",
+                                     "scan", "seminorm", "embed"])
+def test_config_echoes_every_parsed_option(tmp_path, capsys, command):
+    assert main(_commands(tmp_path)[command]) == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    options = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"
+               and not (command in REPORT_OUT and "--out" in a.option_strings)}
+    assert report["command"] == command
+    assert set(report["config"]) == options
+    if command in REPORT_OUT:  # the --out file is the report itself
+        assert (tmp_path / "out.data").read_text() + "\n" == stdout
+
+
+@pytest.mark.parametrize("command", ["transform", "decompose", "polarize", "gw",
+                                     "scan", "embed"])
+def test_seed_only_where_it_seeds(tmp_path, capsys, command):
+    assert _exit_code(_commands(tmp_path)[command] + ["--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_seminorm_echoes_its_seed(tmp_path, capsys):
+    assert main(_commands(tmp_path)["seminorm"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["seed"] == report["seed"] == 7
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("seminorm", "--A-lo", "abc"),
+    ("seminorm", "--A-lo", "-1.2,nan"),
+    ("seminorm", "--A-hi", "inf"),
+    ("seminorm", "--s", "nan"),
+    ("scan", "--tol", "nan"),
+    ("scan", "--probe-radius", "inf"),
+    ("transform", "--r", "-inf"),
+    ("transform", "--r", "one"),
+    ("gw", "--h", "NaN"),
+    ("gw", "--bump", "nan:0.7:1"),
+    ("gw", "--bump", "0.3:inf:1"),
+    ("gw", "--bump", "0.3:0.7:-inf"),
+])
+def test_non_finite_numbers_exit_2_and_write_nothing(tmp_path, capsys, command, option,
+                                                     value):
+    argv = _commands(tmp_path)[command] + [f"{option}={value}"]
+    before = sorted(os.listdir(tmp_path))
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_gw_bump_of_another_dimension_exits_3(tmp_path, capsys):
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [17, 17])
+    save_grid_fn(Bump([0.0, 0.0], 1.2, 1.0).sample(d), tmp_path / "w.json")
+    dump_json_atomic({"kind": "hessian", "k": 2, "weight": "w.json", "aux": []},
+                     tmp_path / "hess.json")
+    rc = main(["gw", "--spec", str(tmp_path / "hess.json"), "--k", "2",
+               "--bump=0.5:0.4:1", "--bump=-0.5:0.4:1"])
+    assert rc == 3
+    assert "dimension" in capsys.readouterr().err
+
+
+def _small_grid(text):
+    """False for a --grid value naming more than 200 samples on an axis, which
+    the fuzz test skips to keep its runs small."""
+    parts = text.split(":")
+    for item in parts[-1].split(",") if len(parts) == 3 else ():
+        try:
+            if int(item) > 200:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+_NUMBER = st.one_of(st.integers(-3, 3).map(str), st.floats(-3, 3).map(repr),
+                    st.floats().map(repr), st.text(max_size=4))
+_VECTOR = st.lists(_NUMBER, min_size=1, max_size=3).map(",".join)
+_FIELDS = st.lists(_VECTOR, min_size=1, max_size=4).map(":".join)
+# three fields of one length, as a grid or a bump of any dimension has; the
+# last is a grid's shape, so it favours sample counts
+_TRIPLE = st.integers(1, 3).flatmap(lambda n: st.tuples(*[
+    st.lists(x, min_size=n, max_size=n).map(",".join)
+    for x in (_NUMBER, _NUMBER, st.one_of(st.integers(-1, 40).map(str), _NUMBER))
+])).map(":".join)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on inputs like 1e308
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(option="--grid", text="-2:2:33")
+@example(option="--grid", text="-1e308:1e308:5")
+@example(option="--bump", text="0:1e300:1e300")   # radius**2 overflows
+@example(option="--bump", text="0:1e-300:1")
+@example(option="--A-lo", text="2")               # past A_hi
+@given(option=st.sampled_from(["--grid", "--bump", "--A-lo"]),
+       text=st.one_of(st.text(max_size=30), _VECTOR, _FIELDS, _TRIPLE))
+def test_text_options_exit_0_2_or_3(tmp_path, capsys, option, text):
+    assume(option != "--grid" or _small_grid(text))
+    argv = _commands(tmp_path)["seminorm"]
+    if option != "--A-lo":
+        argv = ["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--grid=-2:2:33",
+                *(["--bump=0.3:0.7:1"] if option == "--grid" else [])]
+    assert _exit_code(argv + [f"{option}={text}"]) in (0, 2, 3)
+    capsys.readouterr()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]

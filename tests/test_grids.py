@@ -122,3 +122,13 @@ def test_bump_support_and_smoothness():
     assert np.all(f.values[np.abs(x - 0.5) >= 0.25] == 0.0)
     assert f.values.max() == pytest.approx(2.0, abs=1e-6)
     assert b.c2_norm() > 2.0
+
+
+def test_bump_refuses_points_of_another_dimension():
+    b = Bump([0.5], 0.4, 1.0)  # would broadcast to (0.5, 0.5) against 2-D points
+    d = grid2d(n=9)
+    for call in (lambda: b.value(d.points()), lambda: b.sample(d),
+                 lambda: b.support_mask(d), lambda: Bump([0.0, 0.0, 0.0], 1.0).sample(d)):
+        with pytest.raises(ValueError, match="dimension"):
+            call()
+    assert b.sample(grid1d(n=9)).values.shape == (9,)

@@ -321,6 +321,15 @@ def test_seminorm_monotone_and_deterministic():
         seminorm_estimate(mu1(), [-1.9], [1.9], 0.2, 4, seed=1, domain=d)
 
 
+@pytest.mark.parametrize("A_lo, A_hi, grid", [
+    ([2.0], [1.2], GridDomain([-2.0], [2.0], [81])),  # inside out: [1.6, 1.6]
+    ([-0.1], [0.1], GridDomain([-2.0], [2.0], [3])),  # one grid cell, its center
+])
+def test_seminorm_norm_box_needs_two_cells(A_lo, A_hi, grid):
+    with pytest.raises(ValueError, match="two grid cells"):
+        seminorm_estimate(mu1(), A_lo, A_hi, 0.2, 4, seed=1, domain=grid)
+
+
 def _seminorm_specs(ndim):
     """Specs of every kind on a grid whose source box [A_lo - s, A_hi + s] is
     [-1.1, 1.1]^n: some read only cells inside it, some cells outside."""
