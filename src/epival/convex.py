@@ -298,13 +298,6 @@ def _box_index_ranges(domain: GridDomain, lo, hi):
     return il, iu
 
 
-def _box_mask(domain: GridDomain, lo, hi):
-    il, iu = _box_index_ranges(domain, lo, hi)
-    m = np.zeros(domain.shape, dtype=bool)
-    m[tuple(slice(a, b + 1) for a, b in zip(il, iu))] = True
-    return m
-
-
 def _lower_hull_planes(pts, vals, edge):
     """Affine minorants from the lower convex hull of the lifted samples,
     kept only for facets with a vertex where the mask `edge` is set.
@@ -369,16 +362,18 @@ def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
     il, iu = _box_index_ranges(dom, A_lo - s, A_hi + s)
     if np.any(iu - il + 1 < 3):
         raise ValueError("extension source box has fewer than 3 cells per axis")
-    box = _box_mask(dom, A_lo - s, A_hi + s)
-    if not np.all(np.isfinite(f.values[box])):
+    window = tuple(slice(a, b + 1) for a, b in zip(il, iu))
+    if not np.all(np.isfinite(f.values[window])):
         raise ValueError("f must be finite on the source box")
     sub = ExtGridFn(
         GridDomain(dom.lo + il * dom.spacing, dom.lo + iu * dom.spacing,
                    tuple(iu - il + 1)),
-        f.values[tuple(slice(a, b + 1) for a, b in zip(il, iu))])
+        f.values[window])
     if not is_discretely_convex(sub):
         raise ConvexityViolation("f must be discretely convex on the source box")
     out = np.array(f.values)
+    box = np.zeros(dom.shape, dtype=bool)
+    box[window] = True
     targets = fill & ~box
     if not np.any(targets):
         return out
@@ -391,7 +386,7 @@ def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
     # the segment, <= 0 at z and >= 0 at b, so Q(x) >= P(x) beyond b.
     pts = dom.points()
     edge = _margin_mask(sub.domain.shape, 1).ravel()
-    slopes, offsets = _lower_hull_planes(pts[box.ravel()], f.values[box], edge)
+    slopes, offsets = _lower_hull_planes(pts[box.ravel()], sub.values.ravel(), edge)
     out[targets] = _pairing_max(pts[targets.ravel()], slopes, -offsets)
     return out
 
@@ -418,29 +413,16 @@ def lsc_extend(f_open: ExtGridFn, U_mask: ScanMask) -> ExtGridFn:
     marked = U_mask.marked
     if not np.all(np.isfinite(f_open.values[marked])):
         raise ValueError("f must be finite on the marked cells")
-    out = np.full(f_open.domain.shape, np.inf)
-    out[marked] = f_open.values[marked]
-    ndim = f_open.domain.ndim
-    best = np.full(f_open.domain.shape, np.inf)
-    for a in range(ndim):
-        for sign in (1, -1):
-            shifted_vals = np.full_like(best, np.inf)
-            shifted_mark = np.zeros_like(marked)
-            src = [slice(None)] * ndim
-            dst = [slice(None)] * ndim
-            n = f_open.domain.shape[a]
-            if sign > 0:
-                src[a], dst[a] = slice(0, n - 1), slice(1, n)
-            else:
-                src[a], dst[a] = slice(1, n), slice(0, n - 1)
-            shifted_vals[tuple(dst)] = np.where(marked, f_open.values,
-                                                np.inf)[tuple(src)]
-            shifted_mark[tuple(dst)] = marked[tuple(src)]
-            near = shifted_mark & ~marked
-            best[near] = np.minimum(best[near], shifted_vals[near])
-    boundary = np.isfinite(best) & ~marked
-    out[boundary] = best[boundary]
-    return ExtGridFn(f_open.domain, out)
+    vals = np.where(marked, f_open.values, np.inf)
+    best = np.full(vals.shape, np.inf)
+    # one shift each way per axis, as in grids._dilate, but always of `vals`
+    # rather than of the running minimum, so only face neighbours count
+    for a in range(vals.ndim):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        best[hi] = np.minimum(best[hi], vals[lo])
+        best[lo] = np.minimum(best[lo], vals[hi])
+    return ExtGridFn(f_open.domain, np.where(marked, vals, best))
 
 
 def _check_mask(f: ExtGridFn, U_mask: ScanMask):
@@ -530,22 +512,28 @@ def _central_hessian_full(phi: ExtGridFn):
     return central_hessian_at(phi.values, dom.spacing, idx)
 
 
+def _test_function(phi, domain: GridDomain):
+    """Values on `domain` and the C2-type bound of a test function: analytic
+    derivative sups for a Bump, discrete ones for a grid function."""
+    if isinstance(phi, Bump):
+        return phi.sample(domain).values, phi.c2_norm()
+    if isinstance(phi, ExtGridFn):
+        if not phi.domain.same_as(domain):
+            raise ValueError("test function domain mismatch")
+        return phi.values, _discrete_c2_bound(phi)
+    raise TypeError("test functions must be Bump or ExtGridFn")
+
+
 def convex_split(phi, domain: GridDomain | None = None):
     """Write phi as a difference f - h of two discretely convex functions.
 
     f = c|x|^2/2 + phi and h = c|x|^2/2 with c the C2-type bound of phi.
-    Bump inputs use analytic derivative sups, grid inputs use discrete ones.
+    A grid input lives on its own domain; a Bump needs one.
     """
-    if isinstance(phi, Bump):
-        if domain is None:
+    if domain is None:
+        if isinstance(phi, Bump):
             raise ValueError("a domain is required for Bump input")
-        c = phi.c2_norm()
-        phi_grid = phi.sample(domain)
-    else:
-        phi_grid = phi
         domain = phi.domain
-        c = _discrete_c2_bound(phi_grid)
+    vals, c = _test_function(phi, domain)
     q = 0.5 * np.sum(domain.points()**2, axis=1).reshape(domain.shape)
-    h = ExtGridFn(domain, c * q)
-    f = ExtGridFn(domain, c * q + phi_grid.values)
-    return f, h
+    return ExtGridFn(domain, c * q + vals), ExtGridFn(domain, c * q)

@@ -36,6 +36,9 @@ class GridDomain:
             raise ValueError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValueError("need lo < hi on every axis")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise ValueError("hi - lo overflows")
         if any(s < 3 for s in shape):
             raise ValueError("need at least 3 samples per axis")
         object.__setattr__(self, "lo", lo)
@@ -271,8 +274,8 @@ class Bump:
     def __init__(self, center, radius, amplitude=1.0):
         center = _frozen(np.atleast_1d(center))
         radius = float(radius)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (radius > 0.0 and 0.0 < radius * radius < np.inf):
+            raise ValueError("radius must be positive with a finite, nonzero square")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "amplitude", float(amplitude))

@@ -10,19 +10,19 @@ the step. Many probes are evaluated at once: their corners form one stack.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial, inf
 
 import numpy as np
 
-from .convex import _by_rows, _convex_rows, _discrete_c2_bound, _extend, is_discretely_convex
+from .convex import _by_rows, _convex_rows, _extend, _test_function, is_discretely_convex
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate
 from .sampling import random_convex_fn
-from .valuations import (PairingMeasure, _evaluate_stack, _read_mask, evaluate,
-                         intrinsic_domain)
+from .valuations import PairingMeasure, _evaluate_stack, _read_mask, evaluate, grid_domain
 
 REL_STEP_TOL = 1e-7
+_MAX_HALVINGS = 10
 _EPS = np.finfo(float).eps
 
 
@@ -55,7 +55,9 @@ def polarize(spec, k: int, fs) -> float:
     """Symmetric multilinearization by inclusion-exclusion over subset sums:
     (1/k!) sum over nonempty S of (-1)^(k-|S|) mu(sum_{i in S} f_i).
 
-    Requires mu to be k-homogeneous (verified on the first argument).
+    The subset sums are the Goodey-Weil corners at base 0 and step 1, so k
+    equal inputs take k + 1 evaluations. Requires mu to be k-homogeneous
+    (verified on the first argument).
     """
     fs = list(fs)
     if len(fs) != k or k < 1:
@@ -63,48 +65,26 @@ def polarize(spec, k: int, fs) -> float:
     g = fs[0]
     if not all(f.domain.same_as(g.domain) for f in fs):
         raise ValueError("functions must share a domain")
-    rows, signs = [g.values * 2.0, g.values], []
-    for size in range(1, k + 1):
-        for S in combinations(range(k), size):
-            acc = fs[S[0]].values
-            for i in S[1:]:
-                acc = acc + fs[i].values
-            rows.append(acc)
-            signs.append((-1.0) ** (k - size))
-    vals = _evaluate_stack(spec, g.domain, np.stack(rows))
+    distinct, mults = _multiset([f.values for f in fs])
+    plan = _corner_plan(mults)
+    corners = _corners(np.zeros(g.values.shape), np.stack(distinct)[None], plan,
+                       np.ones((1, 1)))[0, 0]
+    rows = np.concatenate([[g.values * 2.0, g.values], corners])
+    vals = _evaluate_stack(spec, g.domain, rows)
     a, b = float(vals[0]), float(vals[1])
     if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
         raise ValueError("valuation fails the k-homogeneity residual check")
-    total = 0.0
-    for sign, v in zip(signs, vals[2:]):
-        total += sign * float(v)
-    return total / factorial(k)
+    return float(_difference(plan, 0.0, vals[None, 2:], 1.0, k)[0][0])
 
 
-def _resolve_domain(spec, query: GWQuery | None, domain):
-    if query is not None and query.base is not None:
-        return query.base.domain
-    if domain is not None:
-        return domain
-    dom = intrinsic_domain(spec)
-    if dom is None:
-        raise ValueError("a grid domain is required (spec carries none)")
-    return dom
-
-
-def _default_base(domain: GridDomain) -> ExtGridFn:
-    q = np.sum(domain.points()**2, axis=1).reshape(domain.shape)
-    return ExtGridFn(domain, q)
-
-
-def _test_values_and_c2(phi, domain):
-    if isinstance(phi, Bump):
-        return phi.sample(domain).values, phi.c2_norm()
-    if isinstance(phi, ExtGridFn):
-        if not phi.domain.same_as(domain):
-            raise ValueError("test function domain mismatch")
-        return phi.values, _discrete_c2_bound(phi)
-    raise TypeError("test functions must be Bump or ExtGridFn")
+def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
+    """Values and mu-value of the base function of a mixed difference:
+    |x|^2 on `domain` unless given; refused unless discretely convex."""
+    if base is None:
+        base = ExtGridFn(domain, np.sum(domain.points()**2, axis=1).reshape(domain.shape))
+    if not is_discretely_convex(base):
+        raise ConvexityViolation("base function is not convex")
+    return base.values, evaluate(spec, base)
 
 
 def _auto_step(k, c2s):
@@ -137,11 +117,11 @@ def _corner_plan(mults):
     return plan
 
 
-def _corners(base_vals, phis, plan, h):
-    """(P, 2, C, *grid) stack of the non-base corners of P probes at their
-    steps h and h/2, where phis is (P, G, *grid) and h is (P,)."""
-    steps = np.stack([h, h / 2.0], axis=1).reshape((-1, 2) + (1,) * base_vals.ndim)
-    out = np.empty((phis.shape[0], 2, len(plan) - 1) + base_vals.shape)
+def _corners(base_vals, phis, plan, steps):
+    """(P, S, C, *grid) stack of the non-base corners of P probes, each at
+    its S steps, where phis is (P, G, *grid) and steps is (P, S)."""
+    steps = steps.reshape(steps.shape + (1,) * base_vals.ndim)
+    out = np.empty(steps.shape[:2] + (len(plan) - 1,) + base_vals.shape)
     for c, (_, js) in enumerate(plan[1:]):
         vals = base_vals
         for g, j in enumerate(js):
@@ -165,7 +145,7 @@ def _difference(plan, base_value, vals, h, k):
     return total / (factorial(k) * h**k), corner_max
 
 
-def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, max_halvings=10):
+def _gw_core(spec, dom, base_vals, base_value, phis, mults, h):
     """Mixed differences of P probes at their steps h and h/2, with the
     agreement check; phis is (P, G, *grid), the G distinct tests of each
     probe with multiplicities mults, and mu(base) = base_value.
@@ -181,9 +161,9 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, max_halvings=10):
     out = np.empty((5, phis.shape[0]))
     steps = np.full(phis.shape[0], float(h))
     todo = np.arange(phis.shape[0])
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         h = steps[todo]
-        stack = _corners(base_vals, phis[todo], plan, h)
+        stack = _corners(base_vals, phis[todo], plan, np.stack([h, h / 2.0], axis=1))
         ok = _convex_rows(stack.reshape((-1,) + shape)).reshape(todo.size, -1).all(axis=1)
         if np.any(ok):
             rows = stack if np.all(ok) else stack[ok]
@@ -209,23 +189,16 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, max_halvings=10):
 
 def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     """Goodey-Weil pairing value with the half-step verification data."""
-    dom = _resolve_domain(spec, query, domain)
+    dom = grid_domain(spec, domain if query.base is None else query.base.domain)
     k = query.order
-    base = query.base if query.base is not None else _default_base(dom)
-    stack, c2s = [], []
-    for phi in query.tests:
-        vals, c2 = _test_values_and_c2(phi, dom)
-        stack.append(vals)
-        c2s.append(c2)
+    stack, c2s = zip(*(_test_function(phi, dom) for phi in query.tests))
     h = query.step if query.step is not None else _auto_step(k, c2s)
     if h <= 0:
         raise ValueError("step must be positive")
-    if not is_discretely_convex(base):
-        raise ConvexityViolation("base function is not convex")
+    base_vals, base_value = _base(spec, dom, query.base)
     distinct, mults = _multiset(stack)
     v1, v2, h_used, corner_max, floor = (float(v) for v in _gw_core(
-        spec, dom, base.values, evaluate(spec, base), np.stack(distinct)[None],
-        mults, h)[:, 0])
+        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, h)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included
     denom = max(abs(v1), abs(v2)) + floor / REL_STEP_TOL
@@ -259,7 +232,7 @@ def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
     """|gw_eval| for test functions with pairwise disjoint supports
     (at least one empty cell between them)."""
     query = GWQuery(k, bumps, base=base, step=step)
-    dom = _resolve_domain(spec, query, domain)
+    dom = grid_domain(spec, domain if base is None else base.domain)
     masks = _support_masks(query.tests, dom)
     for i in range(len(masks)):
         grown = _dilate(masks[i])
@@ -275,16 +248,15 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
                  return_responses: bool = False):
     """Probe response |s(c)| of a k-fold bump at every grid cell; cells above
     tol * max response are marked. Degree 0 reports the empty support."""
-    dom = _resolve_domain(spec, None, domain)
+    dom = grid_domain(spec, domain)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if k == 0:
         mask = ScanMask(dom, np.zeros(dom.shape, dtype=bool))
         return (mask, np.zeros(dom.shape)) if return_responses else mask
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
-    base = _default_base(dom)
-    if not is_discretely_convex(base):
-        raise ConvexityViolation("scan base function is not convex")
-    base_value = evaluate(spec, base)
+    base_vals, base_value = _base(spec, dom)
     c2 = Bump(dom.center, probe_radius, 1.0).c2_norm()
     h0 = step if step is not None else _auto_step(k, [c2])
     pts = dom.points()
@@ -293,7 +265,7 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         # the same values Bump(pts[c], probe_radius).sample(dom) gives
         phis = _bump_values(pts, pts[i:j], probe_radius)
         phis = phis.reshape((phis.shape[0], 1) + dom.shape)
-        return _gw_core(spec, dom, base.values, base_value, phis, (k,), h0)[0]
+        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h0)[0]
 
     # a probe's widest temporary: its 2k corner rows (steps h and h/2), each
     # with up to one n x n Hessian per cell
@@ -348,7 +320,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     no hull is built. Deterministic in `seed`; the sample stream makes the
     estimate monotone in n_samples.
     """
-    dom = _resolve_domain(spec, None, domain)
+    dom = grid_domain(spec, domain)
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
     A_hi = np.atleast_1d(np.asarray(A_hi, dtype=float))
     if s <= 0 or n_samples < 1:
@@ -367,7 +339,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     exts = []
     for i in range(n_samples):
         if i == 0:
-            dist = np.linalg.norm(pts - center, axis=1).reshape(dom.shape)
+            dist = dom.point_norms(center)
             r_max = float(np.max(dist[norm_box]))
             vals = (2.0 / r_max) * dist - 1.0
             f = ExtGridFn(dom, vals)

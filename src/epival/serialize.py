@@ -60,16 +60,30 @@ def _entries(v):
     return v if isinstance(v, list) else [v]
 
 
+def _number(v):
+    """v if it is a JSON number: true, false and strings would also pass
+    float() and np.asarray, as 1.0, 0.0 and the number they spell."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{v!r} is not a number")
+    return v
+
+
+def _integer(v):
+    """v if it is a JSON integer: int() would truncate 1.9 to 1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def _domain_from_dict(obj):
     try:
         lo, hi, shape = obj["lo"], obj["hi"], obj["shape"]
-    except (KeyError, TypeError) as err:
+        for v in _entries(lo) + _entries(hi):
+            _number(v)
+        for v in _entries(shape):
+            _integer(v)
+    except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad domain record: {err}") from err
-    # JSON true/false would read as 1/0 and 5.7 would truncate to 5
-    if any(isinstance(v, bool) for v in _entries(lo) + _entries(hi)):
-        raise FormatError("bad domain record: lo and hi must be numbers")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in _entries(shape)):
-        raise FormatError("bad domain record: shape entries must be integers")
     try:
         return GridDomain(lo, hi, shape)
     except TypeError as err:
@@ -122,8 +136,8 @@ def load_polytope(path) -> Polytope:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise FormatError("polytope file needs 'vertices'")
     try:
-        return Polytope(np.asarray(obj["vertices"], dtype=float))
-    except (TypeError, ValueError) as err:
+        return Polytope(_finite(obj["vertices"]))
+    except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad polytope: {err}") from err
 
 
@@ -156,6 +170,14 @@ def load_valuation_spec(path, check: bool = True):
 
 
 def _finite(value):
+    """A JSON number or nested lists of them as a finite float array."""
+    leaves = [value]
+    while leaves:
+        v = leaves.pop()
+        if isinstance(v, list):
+            leaves.extend(v)
+        else:
+            _number(v)
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
@@ -168,7 +190,7 @@ def _parse(kind, read):
         return read()
     except KeyError as err:
         raise FormatError(f"{kind} spec missing {err}") from err
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad {kind} spec field: {err}") from err
 
 
@@ -187,10 +209,10 @@ def _load_spec(path, check, stack):
                                                _finite(obj["weights"])))
         return PairingMeasure(nodes, weights, check=check)
     if kind == "constant":
-        return Constant(_parse(kind, lambda: float(obj["value"])))
+        return Constant(_parse(kind, lambda: float(_finite(_number(obj["value"])))))
     if kind == "hessian":
         order, weight, aux = _parse(kind, lambda: (
-            int(obj["k"]), os.path.join(directory, obj["weight"]),
+            _integer(obj["k"]), os.path.join(directory, obj["weight"]),
             [_finite(a) for a in obj.get("aux", ())]))
         return HessianDensity(order, load_grid_fn(weight), aux)
     if kind == "composite":
@@ -202,7 +224,7 @@ def _load_spec(path, check, stack):
             if not (isinstance(item, list) and len(item) == 2):
                 raise FormatError("composite terms are [coefficient, file] pairs")
             coef, ref = _parse(kind, lambda: (
-                float(item[0]), os.path.abspath(os.path.join(directory, item[1]))))
+                float(_number(item[0])), os.path.abspath(os.path.join(directory, item[1]))))
             loaded.append((coef, _load_spec(ref, check, stack + (path,))))
         return Composite(loaded)
     raise FormatError(f"unknown valuation kind {kind!r}")

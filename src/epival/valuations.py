@@ -204,16 +204,20 @@ def evaluate(spec, f: ExtGridFn) -> float:
     return float(_evaluate_stack(spec, f.domain, f.values[None])[0])
 
 
-def intrinsic_domain(spec):
-    """The grid domain a spec carries with it, if any."""
+def grid_domain(spec, domain: GridDomain | None = None) -> GridDomain:
+    """`domain` if given, else the grid the spec carries: a Hessian density's
+    weight grid, or the first such grid among a composite's terms."""
+    if domain is not None:
+        return domain
     if isinstance(spec, HessianDensity):
         return spec.weight.domain
     if isinstance(spec, Composite):
         for _, s in spec.terms:
-            dom = intrinsic_domain(s)
-            if dom is not None:
-                return dom
-    return None
+            try:
+                return grid_domain(s)
+            except ValueError:
+                pass
+    raise ValueError("a grid domain is required (spec carries none)")
 
 
 def valuation_residual(spec, f: ExtGridFn, h: ExtGridFn) -> float:
@@ -253,6 +257,8 @@ def _dilations(f: ExtGridFn, ts):
 
 
 def _vandermonde(n):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     ts = np.arange(1, n + 3, dtype=float)
     V = np.vander(ts, N=n + 2, increasing=True)
     if np.linalg.cond(V) > 1e12:
@@ -279,6 +285,8 @@ def component_functional(spec, deg: int, n: int):
     """The degree-`deg` component as a standalone valuation (a callable),
     built from the same dilation probes as the decomposition."""
     ts, V = _vandermonde(n)
+    if not 0 <= deg <= n:
+        raise ValueError("deg must be between 0 and n")
     row = np.linalg.inv(V)[deg]
 
     def mu_deg(f):
@@ -290,11 +298,7 @@ def component_functional(spec, deg: int, n: int):
 
 def embed_T(spec, K: Polytope, domain: GridDomain | None = None) -> float:
     """Body valuation T(mu)[K] = mu(h_K(., -1)) sampled on the grid."""
-    if domain is None:
-        domain = intrinsic_domain(spec)
-        if domain is None:
-            raise ValueError("a grid domain is required for this spec")
-    return evaluate(spec, body_to_function(K, domain))
+    return evaluate(spec, body_to_function(K, grid_domain(spec, domain)))
 
 
 def res_star(spec, f: ExtGridFn, U_mask: ScanMask) -> float:

@@ -114,3 +114,48 @@ def inclusion_exclusion_mixed_determinant(*mats):
         for S in combinations(range(n), size):
             total += (-1.0) ** (n - size) * np.linalg.det(sum(mats[i] for i in S))
     return total / factorial(n)
+
+
+def brute_lsc_extend(f, marked):
+    """lsc extension cell by cell: a marked cell keeps f, an unmarked cell
+    takes the min of f over its marked face neighbours, else +inf."""
+    out = np.full(f.domain.shape, np.inf)
+    for idx in np.ndindex(*f.domain.shape):
+        if marked[idx]:
+            out[idx] = f.values[idx]
+            continue
+        for a in range(len(idx)):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[a] += step
+                if 0 <= nb[a] < f.domain.shape[a] and marked[tuple(nb)]:
+                    out[idx] = min(out[idx], f.values[tuple(nb)])
+    return ExtGridFn(f.domain, out)
+
+
+def random_connected_mask(shape, rng, cells):
+    """Up to `cells` face-connected cells grown from a random seed cell."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(rng.integers(0, s) for s in shape)] = True
+    for _ in range(cells - 1):
+        idx = list(map(int, rng.choice(np.argwhere(mask))))
+        a = int(rng.integers(len(shape)))
+        idx[a] = min(max(idx[a] + int(rng.choice([-1, 1])), 0), shape[a] - 1)
+        mask[tuple(idx)] = True
+    return mask
+
+
+def subset_polarization(spec, k, fs):
+    """Polarization as an explicit loop over nonempty subsets S:
+    (1/k!) sum of (-1)^(k-|S|) mu(sum_{i in S} f_i), one evaluate per S."""
+    from itertools import combinations
+    from math import factorial
+    from epival import evaluate
+    total = 0.0
+    for size in range(1, k + 1):
+        for S in combinations(range(k), size):
+            acc = fs[S[0]].values
+            for i in S[1:]:
+                acc = acc + fs[i].values
+            total += (-1.0) ** (k - size) * evaluate(spec, ExtGridFn(fs[0].domain, acc))
+    return total / factorial(k)

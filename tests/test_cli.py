@@ -157,6 +157,17 @@ NODES = [[1.0], [-1.0], [0.0]]
     {"kind": "constant", "value": "x"},
     {"kind": "hessian", "k": "two", "weight": "w.json"},
     {"kind": "composite", "terms": [["x", "mu1.json"]]},
+    # JSON booleans, numeric strings and non-integral orders, which float()
+    # and int() would read as numbers
+    {"kind": "pairing", "nodes": NODES, "weights": [True, "1", -2.0]},
+    {"kind": "pairing", "nodes": [[True], [-1.0], [0.0]], "weights": [1.0, 1.0, -2.0]},
+    {"kind": "pairing", "nodes": NODES, "weights": [1.0, 1.0, -2 * 10**400]},
+    {"kind": "constant", "value": True},
+    {"kind": "constant", "value": 10**400},
+    {"kind": "hessian", "k": 1.9, "weight": "w.json"},
+    {"kind": "hessian", "k": True, "weight": "w.json"},
+    {"kind": "hessian", "k": "1", "weight": "w.json"},
+    {"kind": "composite", "terms": [[True, "mu1.json"]]},
 ])
 def test_malformed_spec_field_exit2(tmp_path, capsys, spec):
     write_mu1(tmp_path / "mu1.json")
@@ -166,6 +177,16 @@ def test_malformed_spec_field_exit2(tmp_path, capsys, spec):
     rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
     assert rc == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ['{"kind": "constant", "value": 1e999}',
+                                  '{"kind": "pairing", "nodes": [[1], [-1], [0]], '
+                                  '"weights": [1e999, 1, -2]}'])
+def test_spec_number_that_overflows_to_inf_exit2(tmp_path, capsys, text):
+    (tmp_path / "spec.json").write_text(text)  # a finite literal that reads as inf
+    rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
+    assert rc == 2
+    assert "finite" in err
 
 
 def test_spec_violating_moment_conditions_exit3(tmp_path, capsys):
@@ -251,6 +272,39 @@ def test_polarize_command(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["value"] == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("vertices", [
+    [[True, "0.5"], [-1.0, 0.0]],
+    [[1.0, "0.5"], [-1.0, 0.0]],
+    [[1.0, False], [-1.0, 0.0]],
+    [[1.0, 0.0], [-1.0]],
+])
+def test_malformed_polytope_exit2(tmp_path, capsys, vertices):
+    write_mu1(tmp_path / "mu1.json")
+    dump_json_atomic({"vertices": vertices}, tmp_path / "K.json")
+    rc = main(["embed", "--spec", str(tmp_path / "mu1.json"),
+               "--polytope", str(tmp_path / "K.json"), "--grid=-2:2:33"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad polytope")
+
+
+@pytest.mark.parametrize("command", ["gw", "scan", "seminorm", "embed"])
+def test_pairing_without_grid_exits_3(tmp_path, capsys, command):
+    argv = [a for a in _commands(tmp_path)[command] if not a.startswith("--grid")]
+    assert main(argv) == 3
+    assert "a grid domain is required" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option", ["--grid=-1e308:1e308:5", "--bump=0:1e300:1e300",
+                                    "--bump=0:1e-300:1"])
+def test_overflowing_grid_or_bump_exits_2_with_one_error_line(tmp_path, capsys, option):
+    write_mu1(tmp_path / "mu1.json")
+    argv = ["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--grid=-2:2:33", option]
+    assert main(argv if "--grid" not in option else argv + ["--bump=0.3:0.7:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {option.split('=')[0]} value") and err.count("\n") == 1
 
 
 def test_grid_file_round_trip_rejects_nan(tmp_path):
@@ -523,5 +577,17 @@ def test_text_options_exit_0_2_or_3(tmp_path, capsys, option, text):
         argv = ["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--grid=-2:2:33",
                 *(["--bump=0.3:0.7:1"] if option == "--grid" else [])]
     assert _exit_code(argv + [f"{option}={text}"]) in (0, 2, 3)
+    capsys.readouterr()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_option=st.sampled_from([("polarize", "--k"), ("gw", "--k"), ("scan", "--k"),
+                                       ("decompose", "--n"), ("seminorm", "--samples")]),
+       value=st.integers(-3, 6))
+def test_integer_options_exit_0_2_or_3(tmp_path, capsys, command_option, value):
+    command, option = command_option
+    assert _exit_code(_commands(tmp_path)[command] + [f"{option}={value}"]) in (0, 2, 3)
     capsys.readouterr()
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]

@@ -36,9 +36,11 @@ from helpers import (
     brute_conjugate,
     brute_convex_envelope_1d,
     brute_inf_convolution,
+    brute_lsc_extend,
     grid1d,
     grid2d,
     quadratic,
+    random_connected_mask,
     sample,
 )
 
@@ -564,6 +566,20 @@ def test_lsc_extend_blowup_grows_under_refinement():
         if prev is not None:
             assert left > prev
         prev = left
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_lsc_extend_matches_face_neighbour_loop(ndim):
+    rng = np.random.default_rng(40 + ndim)
+    for _ in range(12):
+        shape = tuple(int(s) for s in rng.integers(3, 10 if ndim < 3 else 6, size=ndim))
+        d = GridDomain([-1.0] * ndim, [1.0] * ndim, shape)
+        marked = random_connected_mask(shape, rng, int(rng.integers(1, d.size)))
+        vals = rng.normal(size=shape)
+        vals[~marked & (rng.random(shape) < 0.2)] = np.inf  # ignored off the mask
+        f = ExtGridFn(d, vals)
+        got = lsc_extend(f, ScanMask(d, marked))
+        assert np.array_equal(got.values, brute_lsc_extend(f, marked).values)
 
 
 def test_restrict_roundtrip_and_guards():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ def test_domain_validation():
     assert d.ndim == 2
     assert np.allclose(d.spacing, [0.5, 0.5])
     assert d.points().shape == (45, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy can warn
+        with pytest.raises(ValueError, match="overflows"):
+            GridDomain([-1e308], [1e308], [5])
+        with pytest.raises(ValueError, match="overflows"):
+            GridDomain([0.0, -1.5e308], [1.0, 1e308], [5, 5])
+        assert GridDomain([-8e307], [8e307], [5]).spacing[0] == 4e307
 
 
 def test_points_row_major_last_axis_fastest():
@@ -132,3 +141,13 @@ def test_bump_refuses_points_of_another_dimension():
         with pytest.raises(ValueError, match="dimension"):
             call()
     assert b.sample(grid1d(n=9)).values.shape == (9,)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, 2e154, 1e300, 1e-300, np.inf, np.nan])
+def test_bump_refuses_radius_whose_square_is_not_positive_and_finite(radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius"):
+            Bump([0.0], radius)
+        assert Bump([0.0], 1e150).radius == 1e150
+        assert Bump([0.0], 1e-150).radius == 1e-150

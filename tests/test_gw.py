@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epival.convex
 import epival.gw
@@ -28,7 +29,7 @@ from epival import (
 )
 from epival.convex import central_hessian_at
 
-from helpers import grid1d, grid2d, mixed_coeff_oracle, quadratic, sample
+from helpers import grid1d, grid2d, mixed_coeff_oracle, quadratic, sample, subset_polarization
 
 
 def mu1(x=1.0):
@@ -83,6 +84,28 @@ def test_polarize_hessian_quadratics_match_mixed_determinant():
     expected = mixed_determinant(A1, A2) * float(np.sum(w.values)
                                                  * np.prod(d.spacing))
     assert polarize(spec, 2, [f1, f2]) == pytest.approx(expected, rel=1e-8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), seed=st.integers(0, 2**16), data=st.data())
+def test_polarize_is_symmetric_and_merges_repeated_inputs(k, seed, data):
+    """Permuting the inputs leaves the value unchanged, and repeated inputs
+    (k + 1 corners) give the subset loop's value over 2^k - 1 subsets; on
+    distinct inputs the two evaluate the same rows in the same order."""
+    d = GridDomain([-2.0] * k, [2.0] * k, [17 if k == 2 else 9] * k)
+    spec = HessianDensity(k, Bump(d.center, 1.4 if k == 2 else 0.9, 1.0).sample(d))
+    rng = np.random.default_rng(seed)
+    pool = [random_convex_fn(d, rng) for _ in range(k)]
+    picks = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    fs = [pool[i] for i in picks]
+    v = polarize(spec, k, fs)
+    want = subset_polarization(spec, k, fs)
+    if len(set(picks)) == k:
+        assert v == want
+    assert v == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
+    perm = data.draw(st.permutations(range(k)))
+    permuted = polarize(spec, k, [fs[i] for i in perm])
+    assert permuted == pytest.approx(v, abs=1e-12 * (1 + abs(v)))
 
 
 def test_polarize_rejects_wrong_homogeneity():
@@ -226,6 +249,8 @@ def test_scan_constant_is_empty():
     d = GridDomain([-2.0], [2.0], [65])
     mask = support_scan(Constant(4.0), 0, 0.3, domain=d)
     assert mask.count == 0
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        support_scan(Constant(4.0), -1, 0.3, domain=d)
 
 
 def test_scan_hessian_support_tracks_weight():

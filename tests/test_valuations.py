@@ -355,6 +355,11 @@ def test_decompose_components_are_valuations():
     h = ExtGridFn(d, f.values + 0.5)
     scale = 1 + abs(comp1(f)) + abs(comp1(h))
     assert valuation_residual(comp1, f, h) <= 1e-9 * scale
+    for deg, n in ((-1, 1), (2, 1), (0, -1)):
+        with pytest.raises(ValueError, match="deg|n must"):
+            component_functional(spec, deg, n)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        homogeneous_decompose(spec, f, n=-1)
 
 
 # --------------------------------------------------------- mixed determinant
