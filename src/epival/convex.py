@@ -145,12 +145,33 @@ def _pairing_max(targets, sources, charges):
                     lambda i, j: (targets[i:j] @ sources.T - charges).max(axis=1))
 
 
+def _separable_max(vals, axes, dual_axes):
+    """max over x of <y, x> + vals(x) at every y of the product grid
+    `dual_axes`, for vals on the product grid `axes`.
+
+    The grid is a product, so the maximum factors axis by axis: each pass
+    maximises <y_a, x_a> + p over one axis of p. -inf cells drop out of
+    every later maximum. Lines and dual points are both blocked: a block of
+    products and the sums over it hold at most _BLOCK floats together.
+    """
+    for a, (xa, ya) in enumerate(zip(axes, dual_axes)):
+        lines = np.moveaxis(vals, a, -1)
+        flat = lines.reshape(-1, xa.size)
+        step = max(1, _BLOCK // (2 * xa.size))  # dual points per block
+        cols = []
+        for k in range(0, ya.size, step):
+            pair = np.multiply.outer(ya[k:k + step], xa)
+            cols.append(_by_rows(flat.shape[0], 2 * pair.size,
+                                 lambda i, j: (flat[i:j, None, :] + pair).max(axis=2)))
+        out = np.concatenate(cols, axis=1)
+        vals = np.moveaxis(out.reshape(lines.shape[:-1] + (ya.size,)), -1, a)
+    return vals
+
+
 def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
     """Discrete convex conjugate: f*(y) = max over finite cells of <y,x> - f(x).
 
-    The grid is a product, so the maximum factors axis by axis: each pass
-    maximises <y_a, x_a> + p over one axis of p = -f. +inf cells carry a
-    -inf sentinel, so they drop out of every later maximum.
+    The separable maximum of -f, with a -inf sentinel at +inf cells.
     """
     if dual_domain is None:
         dual_domain = default_dual_domain(f)
@@ -165,14 +186,7 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
     if not np.any(f.finite_mask):
         raise ValueError("conjugate of an improper function")
     vals = np.where(f.finite_mask, -f.values, -np.inf)
-    for a, (xa, ya) in enumerate(zip(f.domain.axes(), dual_domain.axes())):
-        pair = np.multiply.outer(ya, xa)
-        lines = np.moveaxis(vals, a, -1)
-        flat = lines.reshape(-1, xa.size)
-        out = _by_rows(flat.shape[0], pair.size,
-                       lambda i, j: (flat[i:j, None, :] + pair).max(axis=2))
-        vals = np.moveaxis(out.reshape(lines.shape[:-1] + (ya.size,)), -1, a)
-    return ExtGridFn(dual_domain, vals)
+    return ExtGridFn(dual_domain, _separable_max(vals, f.domain.axes(), dual_domain.axes()))
 
 
 def biconjugate(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
@@ -197,28 +211,92 @@ def biconjugate_gap(f: ExtGridFn, dual_domain: GridDomain | None = None) -> floa
     return float(np.max(np.abs(fss.values[sel] - f.values[sel])))
 
 
+def _cone_min(tgt, src, vals, L):
+    """min over j of vals_j + L |tgt_i - src_j| for (P, T, n) targets and
+    (P, S, n) sources, as (P, T). Squares are summed axis by axis, in the
+    order np.linalg.norm adds them, and the arithmetic is done in place, so
+    every pair gets the same bits wherever it is evaluated. Two (P, T, S)
+    arrays are alive at once, so callers keep P * T * S to _BLOCK / 2."""
+    sq = (tgt[:, :, None, 0] - src[:, None, :, 0]) ** 2
+    for a in range(1, tgt.shape[2]):
+        sq += (tgt[:, :, None, a] - src[:, None, :, a]) ** 2
+    np.sqrt(sq, out=sq)
+    sq *= L
+    sq += vals[:, None, :]
+    return sq.min(axis=2)
+
+
+def _tiles(shape):
+    """(tiles, cells) flat grid indices of about 256 boxes of cells; boxes at
+    the far end are padded by repeating their last cell, which changes no
+    minimum."""
+    per_axis = int(np.ceil(256 ** (1 / len(shape))))
+    flat = np.zeros((), dtype=int)
+    for n in shape:
+        side = -(-n // per_axis)
+        idx = np.minimum(np.arange(-(-n // side) * side), n - 1).reshape(-1, side)
+        flat = flat[..., None, None] * n + idx
+    k = len(shape)
+    flat = flat.transpose(tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)))
+    return flat.reshape(int(np.prod(flat.shape[:k])), -1)
+
+
 def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
-    """Infimal convolution with (1/r)|.|; equals (f* + indicator of B_{1/r})*."""
+    """Infimal convolution with (1/r)|.|; equals (f* + indicator of B_{1/r})*.
+
+    Exact: the minimum over every finite source of f(y) + |x - y| / r, with
+    source boxes that cannot hold a target box's minimum skipped.
+    """
     if r <= 0:
         raise ValueError("r must be positive")
     if not is_discretely_convex(f):
         raise ConvexityViolation("input must be discretely convex")
     L = 1.0 / r
-    fin = f.finite_mask.ravel()
+    fin = f.finite_mask
     if not np.any(fin):
         raise ValueError("regularization of an improper function")
-    src = f.domain.points()[fin]
-    vals = f.values.ravel()[fin]
-    tgt = f.domain.points()
+    pts = f.domain.points()
+    vals = f.values.ravel()
 
-    def block(i, j):
-        # squares summed axis by axis, in the order np.linalg.norm adds them
-        sq = (tgt[i:j, 0, None] - src[:, 0]) ** 2
-        for a in range(1, src.shape[1]):
-            sq += (tgt[i:j, a, None] - src[:, a]) ** 2
-        return (vals + L * np.sqrt(sq)).min(axis=1)
+    # Pass 1: ub(x), the minimum over the finite cells on every 4th grid
+    # line of each axis, an attained value and so an upper bound.
+    strided = np.zeros(fin.shape, dtype=bool)
+    strided[(slice(None, None, 4),) * fin.ndim] = True
+    strided = (strided & fin).ravel()
+    ub = np.full(pts.shape[0], np.inf)
+    if np.any(strided):
+        src, sv = pts[None, strided], vals[None, strided]
+        ub = _by_rows(pts.shape[0], 2 * src.shape[1],
+                      lambda i, j: _cone_min(pts[None, i:j], src, sv, L)[0])
 
-    out = _by_rows(tgt.shape[0], src.shape[0], block)
+    # Pass 2: box A skips box B when min_B f + L dist(A, B) > max_A ub. For x
+    # in A and y in B, |x_a - y_a| is at least the gap between the boxes on
+    # axis a and rounding is monotone, so the evaluated f(y) + L|x - y| is at
+    # least the evaluated bound; past the slack it exceeds ub(x), a value
+    # from a kept box, so no skipped pair is a minimum and the minimum over
+    # the kept pairs is the full one, bit for bit.
+    cells = _tiles(fin.shape)
+    tp, tv = pts[cells], vals[cells]            # +inf sources never win
+    lo, hi = tp.min(axis=1), tp.max(axis=1)
+    gap = np.maximum(0.0, np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]))
+    sq = gap[..., 0] ** 2
+    for a in range(1, gap.shape[2]):
+        sq += gap[..., a] ** 2
+    reach = L * np.sqrt(sq)
+    vmin, ubmax = tv.min(axis=1), ub[cells].max(axis=1)
+    lb = vmin[None] + reach
+    slack = 1e-12 * (np.abs(vmin)[None] + reach + np.abs(ubmax)[:, None])
+    keep = np.isfinite(vmin)[None] & (lb <= ubmax[:, None] + slack)
+    pa, pb = np.nonzero(keep)                   # row-major: grouped by target box
+    best = np.full(tv.shape, np.inf)
+    step = max(1, _BLOCK // (2 * tv.shape[1] ** 2))
+    for k in range(0, pa.size, step):
+        a, b = pa[k:k + step], pb[k:k + step]
+        m = _cone_min(tp[a], tp[b], tv[b], L)
+        first = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+        best[a[first]] = np.minimum(best[a[first]], np.minimum.reduceat(m, first))
+    out = np.empty(vals.size)
+    out[cells] = best
     return ExtGridFn(f.domain, out.reshape(f.domain.shape))
 
 
@@ -278,15 +356,15 @@ def reconstruct_from_conjugate(f: ExtGridFn, R: float,
     c = float(np.max(np.abs(f.values[ball])))
     c = max(c, 1e-300)
     fstar = legendre(f, dual_domain)
-    y = fstar.domain.points()
-    fy = fstar.values.ravel()
+    ynorm = fstar.domain.point_norms(center=np.zeros(dom.ndim))
     tcap = (2 * R + 3) * c
-    keep = (np.linalg.norm(y, axis=1) <= 2 * c * (1 + 1e-12)) & (fy <= tcap)
+    keep = (ynorm <= 2 * c * (1 + 1e-12)) & (fstar.values <= tcap)
     if not np.any(keep):
-        keep = np.argsort(np.linalg.norm(y, axis=1))[:1]
-    tmin = np.maximum(fy[keep], -tcap)
-    vals = _pairing_max(dom.points(), y[keep], tmin)
-    return ExtGridFn(dom, vals.reshape(dom.shape))
+        keep.flat[np.argmin(ynorm)] = True
+    # the body's support in direction (x, -1): a separable maximum over the
+    # kept dual cells, the others carrying the -inf sentinel
+    charge = np.where(keep, -np.maximum(fstar.values, -tcap), -np.inf)
+    return ExtGridFn(dom, _separable_max(charge, fstar.domain.axes(), dom.axes()))
 
 
 def _box_index_ranges(domain: GridDomain, lo, hi):

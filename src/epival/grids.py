@@ -39,6 +39,9 @@ class GridDomain:
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
                 raise ValueError("hi - lo overflows")
+            # |x|^2 at the farthest corner bounds every squared norm on the grid
+            if not np.isfinite(np.sum(np.maximum(lo * lo, hi * hi))):
+                raise ValueError("squared coordinates overflow")
         if any(s < 3 for s in shape):
             raise ValueError("need at least 3 samples per axis")
         object.__setattr__(self, "lo", lo)
@@ -274,8 +277,11 @@ class Bump:
     def __init__(self, center, radius, amplitude=1.0):
         center = _frozen(np.atleast_1d(center))
         radius = float(radius)
-        if not (radius > 0.0 and 0.0 < radius * radius < np.inf):
-            raise ValueError("radius must be positive with a finite, nonzero square")
+        # the Hessian scales with (2 / radius^2)^2, which must stay finite
+        with np.errstate(over="ignore", divide="ignore"):
+            curvature = (2.0 / np.float64(radius) ** 2) ** 2
+        if not (radius > 0.0 and radius * radius < np.inf and np.isfinite(curvature)):
+            raise ValueError("radius must be positive with finite radius^2 and 1/radius^4")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "amplitude", float(amplitude))

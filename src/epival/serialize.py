@@ -9,6 +9,7 @@ atomic rename so a failed command never leaves a partial output.
 import json
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -86,29 +87,36 @@ def _domain_from_dict(obj):
         raise FormatError(f"bad domain record: {err}") from err
     try:
         return GridDomain(lo, hi, shape)
-    except TypeError as err:
+    except (TypeError, OverflowError) as err:
         raise FormatError(f"bad domain record: {err}") from err
 
 
-def _encode_value(v):
-    return "inf" if np.isposinf(v) else float(v)
-
-
-def _decode_value(v):
-    if v == "inf":
-        return np.inf
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        v = float(v)
-        if not np.isfinite(v):
-            raise FormatError("non-finite numeric value in grid file")
-        return v
-    raise FormatError(f"bad grid value {v!r}")
-
-
 def save_grid_fn(f: ExtGridFn, path):
-    obj = {"domain": _domain_to_dict(f.domain),
-           "values": [_encode_value(v) for v in f.values.ravel()]}
-    dump_json_atomic(obj, path)
+    values = f.values.ravel()
+    listed = values.tolist()
+    for i in np.flatnonzero(values == np.inf).tolist():
+        listed[i] = "inf"
+    dump_json_atomic({"domain": _domain_to_dict(f.domain), "values": listed}, path)
+
+
+def _grid_values(listed):
+    """A grid file's value list as floats: JSON numbers, finite and within
+    the float range, and the string "inf" for +inf."""
+    kinds = Counter(map(type, listed))
+    if not kinds.keys() <= {int, float, str} or kinds[str] != listed.count("inf"):
+        bad = next(v for v in listed if type(v) not in (int, float) and v != "inf")
+        raise FormatError(f"bad grid value {bad!r}")
+    values = np.array(listed, dtype=object)
+    inf = values == "inf"
+    values[inf] = 0.0
+    try:
+        values = values.astype(float)
+    except OverflowError as err:
+        raise FormatError(f"grid value beyond the float range: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise FormatError("non-finite numeric value in grid file")
+    values[inf] = np.inf
+    return values
 
 
 def load_grid_fn(path) -> ExtGridFn:
@@ -117,7 +125,7 @@ def load_grid_fn(path) -> ExtGridFn:
             or "domain" not in obj:
         raise FormatError("grid file needs 'domain' and a 'values' list")
     domain = _domain_from_dict(obj["domain"])
-    values = np.array([_decode_value(v) for v in obj["values"]])
+    values = _grid_values(obj["values"])
     if values.size != domain.size:
         raise FormatError("value count does not match the domain shape")
     try:

@@ -159,3 +159,14 @@ def subset_polarization(spec, k, fs):
                 acc = acc + fs[i].values
             total += (-1.0) ** (k - size) * evaluate(spec, ExtGridFn(fs[0].domain, acc))
     return total / factorial(k)
+
+
+def reference_grid_json(f):
+    """The text of a grid file, encoded one value at a time: the string
+    "inf" for +inf, the float otherwise."""
+    import json
+    domain = {"lo": [float(v) for v in f.domain.lo],
+              "hi": [float(v) for v in f.domain.hi],
+              "shape": [int(s) for s in f.domain.shape]}
+    values = ["inf" if np.isposinf(v) else float(v) for v in f.values.ravel()]
+    return json.dumps({"domain": domain, "values": values}, sort_keys=True)

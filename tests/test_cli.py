@@ -20,7 +20,7 @@ from epival.serialize import (
     save_polytope,
 )
 
-from helpers import sample
+from helpers import reference_grid_json, sample
 
 
 @pytest.fixture
@@ -297,8 +297,9 @@ def test_pairing_without_grid_exits_3(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("option", ["--grid=-1e308:1e308:5", "--bump=0:1e300:1e300",
-                                    "--bump=0:1e-300:1"])
+@pytest.mark.parametrize("option", ["--grid=-1e308:1e308:5", "--grid=-1e307:1e307:5",
+                                    "--bump=0:1e300:1e300", "--bump=0:1e-300:1",
+                                    "--bump=0:1e-160:1", "--bump=0:1e-100:1"])
 def test_overflowing_grid_or_bump_exits_2_with_one_error_line(tmp_path, capsys, option):
     write_mu1(tmp_path / "mu1.json")
     argv = ["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--grid=-2:2:33", option]
@@ -324,6 +325,24 @@ def test_grid_file_round_trip_rejects_nan(tmp_path):
     (tmp_path / "bad2.json").write_text(json.dumps(obj).replace('"nan"', "NaN"))
     with pytest.raises(FormatError):
         load_grid_fn(tmp_path / "bad2.json")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_grid_file_round_trip_matches_per_value_encoder(tmp_path, data):
+    shape = data.draw(st.lists(st.integers(3, 7), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=size, max_size=size)))
+    inf = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    assume(not inf.all())
+    f = ExtGridFn(GridDomain([-1.5] * len(shape), [2.5] * len(shape), shape),
+                  np.where(inf, np.inf, values).reshape(shape))
+    p = tmp_path / "f.json"
+    save_grid_fn(f, p)
+    assert p.read_text(encoding="utf-8") == reference_grid_json(f)
+    assert np.array_equal(load_grid_fn(p).values, f.values)
 
 
 def test_gw_with_grid_file_test_function(tmp_path, capsys):
@@ -384,6 +403,8 @@ GRID_1D = {"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
     ("shape", [5.7]),
     ("shape", [5.0]),
     ("lo", [False]),
+    ("values", [1.0, 10**400, 0.0, 0.25, 1.0]),  # beyond the float range
+    ("lo", [-10**400]),
 ])
 def test_malformed_grid_file_exit2(tmp_path, capsys, field, value):
     obj = json.loads(json.dumps(GRID_1D))
@@ -565,6 +586,7 @@ _TRIPLE = st.integers(1, 3).flatmap(lambda n: st.tuples(*[
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(option="--grid", text="-2:2:33")
 @example(option="--grid", text="-1e308:1e308:5")
+@example(option="--grid", text="-1e307:1e307:5")   # squared coordinates overflow
 @example(option="--bump", text="0:1e300:1e300")   # radius**2 overflows
 @example(option="--bump", text="0:1e-300:1")
 @example(option="--A-lo", text="2")               # past A_hi

@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from epival import (
@@ -29,7 +31,7 @@ from epival import (
     restrict,
     slope_range,
 )
-from epival.convex import _convex_rows
+from epival.convex import _BLOCK, _convex_rows
 
 from helpers import (
     brute_chord_extension_1d,
@@ -274,6 +276,29 @@ def test_reg_matches_brute_inf_convolution_with_inf_cells(shape):
     reg = lipschitz_regularize(f, 0.5)
     want = brute_inf_convolution(f, 2.0).values
     assert np.max(np.abs(reg.values - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.one_of(st.tuples(st.integers(3, 1500)),
+                       st.tuples(st.integers(3, 40), st.integers(3, 40)),
+                       st.tuples(st.integers(3, 12), st.integers(3, 12), st.integers(3, 12))),
+       scale=st.floats(0.1, 30.0), r=st.floats(0.05, 8.0), hole=st.booleans())
+def test_reg_equals_brute_inf_convolution_bit_for_bit(seed, shape, scale, r, hole):
+    rng = np.random.default_rng(seed)
+    d = GridDomain([-1.5] * len(shape), [1.5] * len(shape), list(shape))
+    vals = random_convex_fn(d, rng).values * scale
+    if hole:
+        # +inf outside a ball, so the finite cells stay a convex set
+        c = rng.uniform(-0.5, 0.5, len(shape))
+        outside = np.linalg.norm(d.points() - c, axis=1).reshape(shape) > rng.uniform(0.6, 1.6)
+        assume(not outside.all())
+        vals = np.where(outside, np.inf, vals)
+    f = ExtGridFn(d, vals)
+    assume(is_discretely_convex(f))
+    assert np.array_equal(lipschitz_regularize(f, r).values,
+                          brute_inf_convolution(f, 1.0 / r).values)
 
 
 def test_reg_pointwise_bounds_and_monotonicity():
@@ -638,3 +663,24 @@ def test_reg_output_is_lipschitz_between_adjacent_cells():
     steps = np.abs(np.diff(reg.values)) / d.spacing[0]
     assert np.max(steps) <= L * (1 + 1e-12)
     assert np.all(np.isfinite(reg.values))
+
+
+# ------------------------------------------------------------------- memory
+
+def _peak_floats(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+
+
+def test_conjugate_kernels_allocate_at_most_two_and_a_half_blocks():
+    rng = np.random.default_rng(7)
+    f1 = random_convex_fn(GridDomain([-3.0], [3.0], [2049]), rng)
+    f2 = random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [65, 65]), rng)
+    f3 = random_convex_fn(GridDomain([-3.5] * 2, [3.5] * 2, [65, 65]), rng)
+    for call in (lambda: legendre(f1), lambda: lipschitz_regularize(f2, 0.5),
+                 lambda: reconstruct_from_conjugate(f3, 1.0)):
+        assert _peak_floats(call) <= 2.5 * _BLOCK

@@ -26,7 +26,12 @@ def test_domain_validation():
             GridDomain([-1e308], [1e308], [5])
         with pytest.raises(ValueError, match="overflows"):
             GridDomain([0.0, -1.5e308], [1.0, 1e308], [5, 5])
-        assert GridDomain([-8e307], [8e307], [5]).spacing[0] == 4e307
+        # a width that fits but squared coordinates that do not
+        with pytest.raises(ValueError, match="squared coordinates overflow"):
+            GridDomain([-8e307], [8e307], [5])
+        with pytest.raises(ValueError, match="squared coordinates overflow"):
+            GridDomain([0.0, 0.0], [1e154, 1e154], [5, 5])
+        assert GridDomain([-1e154], [1e154], [5]).spacing[0] == 5e153
 
 
 def test_points_row_major_last_axis_fastest():
@@ -143,11 +148,14 @@ def test_bump_refuses_points_of_another_dimension():
     assert b.sample(grid1d(n=9)).values.shape == (9,)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, 2e154, 1e300, 1e-300, np.inf, np.nan])
+# 1e-100 and 1e-160 square to positive numbers, but the Hessian's
+# (2 / radius^2)^2 overflows
+@pytest.mark.parametrize("radius", [0.0, -1.0, 2e154, 1e300, 1e-300, 1e-160, 1e-100,
+                                    np.inf, np.nan])
 def test_bump_refuses_radius_whose_square_is_not_positive_and_finite(radius):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="radius"):
             Bump([0.0], radius)
         assert Bump([0.0], 1e150).radius == 1e150
-        assert Bump([0.0], 1e-150).radius == 1e-150
+        assert Bump([0.0], 1e-70).radius == 1e-70
