@@ -80,7 +80,9 @@ def cmd_transform(args, spec):
         out = convex.reconstruct_from_conjugate(f, args.R)
         key = "sup_error_ball"
         cells = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
-    report = {"biconjugate_gap": convex.biconjugate_gap(f), key: None}
+    # a legendre without --grid has computed the conjugate the gap starts from
+    fstar = out if args.op == "legendre" and args.grid is None else convex.legendre(f)
+    report = {"biconjugate_gap": convex._biconjugate_gap(f, fstar), key: None}
     if cells is not None:
         report[key] = float(np.max(np.abs(out.values[cells] - f.values[cells])))
     serialize.save_grid_fn(out, args.out)

@@ -189,22 +189,31 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
     return ExtGridFn(dual_domain, _separable_max(vals, f.domain.axes(), dual_domain.axes()))
 
 
-def biconjugate(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
+def biconjugate(f: ExtGridFn) -> ExtGridFn:
     """legendre(legendre(f)) back on the primal grid.
 
     The discrete construction satisfies f** <= f at finite cells in exact
     arithmetic; the result is clamped there to remove sub-ulp rounding
     overshoot so the dominance invariant holds for the returned values.
     """
-    fstar = legendre(f, dual_domain)
+    return _biconjugate(f, legendre(f))
+
+
+def _biconjugate(f: ExtGridFn, fstar: ExtGridFn) -> ExtGridFn:
+    """biconjugate(f) from its conjugate fstar = legendre(f)."""
     fss = legendre(fstar, f.domain)
     vals = np.where(f.finite_mask, np.minimum(fss.values, f.values), fss.values)
     return ExtGridFn(f.domain, vals)
 
 
-def biconjugate_gap(f: ExtGridFn, dual_domain: GridDomain | None = None) -> float:
+def biconjugate_gap(f: ExtGridFn) -> float:
     """sup over finite interior cells of |f** - f|; zero certifies convexity."""
-    fss = biconjugate(f, dual_domain)
+    return _biconjugate_gap(f, legendre(f))
+
+
+def _biconjugate_gap(f: ExtGridFn, fstar: ExtGridFn) -> float:
+    """biconjugate_gap(f) from its conjugate fstar = legendre(f)."""
+    fss = _biconjugate(f, fstar)
     sel = ~_margin_mask(f.domain.shape, 1) & f.finite_mask
     if not np.any(sel):
         return 0.0
@@ -336,8 +345,7 @@ def body_to_function(K: Polytope, domain: GridDomain) -> ExtGridFn:
     return ExtGridFn(domain, vals.reshape(domain.shape))
 
 
-def reconstruct_from_conjugate(f: ExtGridFn, R: float,
-                               dual_domain: GridDomain | None = None) -> ExtGridFn:
+def reconstruct_from_conjugate(f: ExtGridFn, R: float) -> ExtGridFn:
     """Support evaluation of the truncated conjugate epigraph.
 
     With c the sup of |f| on the ball of radius R+2, the body is
@@ -355,7 +363,7 @@ def reconstruct_from_conjugate(f: ExtGridFn, R: float,
         raise ValueError("f must be finite on the ball of radius R+2")
     c = float(np.max(np.abs(f.values[ball])))
     c = max(c, 1e-300)
-    fstar = legendre(f, dual_domain)
+    fstar = legendre(f)
     ynorm = fstar.domain.point_norms(center=np.zeros(dom.ndim))
     tcap = (2 * R + 3) * c
     keep = (ynorm <= 2 * c * (1 + 1e-12)) & (fstar.values <= tcap)
@@ -517,25 +525,24 @@ def _discrete_c2_bound(phi: ExtGridFn) -> float:
 
     The curvature part is the larger of the spectral norm of the central
     difference Hessian and the raw directional second-difference quotients,
-    so the quadratic split below is convex under the same test it must pass.
+    so quadratic splits and Goodey-Weil corners pass the convexity check.
     """
     vals = phi.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi must be finite everywhere")
     dom = phi.domain
     sup = float(np.max(np.abs(vals)))
-    grads = np.gradient(vals, *dom.axes(), edge_order=1)
-    if dom.ndim == 1:
-        grads = [grads]
-    gnorm = float(np.max(np.sqrt(sum(g * g for g in grads))))
+    grads = np.reshape(np.gradient(vals, *dom.axes(), edge_order=1),
+                       (dom.ndim,) + vals.shape)
+    gnorm = float(np.max(np.sqrt(np.sum(grads * grads, axis=0))))
     curv = 0.0
     dx = dom.spacing
     for d in _directions(dom.ndim):
         vm, vc, vp = _shifted_views(vals, d)
         step2 = float(np.sum((dx * np.array(d))**2))
         curv = max(curv, float(np.max(np.abs(vm - 2 * vc + vp))) / step2)
-    H = _central_hessian_full(phi)
-    if H is not None:
+    if all(s >= 5 for s in dom.shape):  # Hessians two cells in from the boundary
+        H = central_hessian_at(vals, dx, np.argwhere(~_margin_mask(dom.shape, 2)))
         curv = max(curv, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
     return sup + gnorm + curv
 
@@ -581,25 +588,16 @@ def central_hessian_at(values, spacing, idx):
     return H
 
 
-def _central_hessian_full(phi: ExtGridFn):
-    dom = phi.domain
-    if any(s < 5 for s in dom.shape):
-        return None
-    grids = np.meshgrid(*[np.arange(2, s - 2) for s in dom.shape], indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=-1)
-    return central_hessian_at(phi.values, dom.spacing, idx)
-
-
 def _test_function(phi, domain: GridDomain):
-    """Values on `domain` and the C2-type bound of a test function: analytic
-    derivative sups for a Bump, discrete ones for a grid function."""
+    """Values on `domain` and the C2-type bound of a test function, read from
+    its samples: a Bump is sampled on `domain`, a grid function must live there."""
     if isinstance(phi, Bump):
-        return phi.sample(domain).values, phi.c2_norm()
-    if isinstance(phi, ExtGridFn):
-        if not phi.domain.same_as(domain):
-            raise ValueError("test function domain mismatch")
-        return phi.values, _discrete_c2_bound(phi)
-    raise TypeError("test functions must be Bump or ExtGridFn")
+        phi = phi.sample(domain)
+    elif not isinstance(phi, ExtGridFn):
+        raise TypeError("test functions must be Bump or ExtGridFn")
+    elif not phi.domain.same_as(domain):
+        raise ValueError("test function domain mismatch")
+    return phi.values, _discrete_c2_bound(phi)
 
 
 def convex_split(phi, domain: GridDomain | None = None):

@@ -6,6 +6,7 @@ writeable flag cleared, so sharing them across threads is safe.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class GridDomain:
 
     @property
     def size(self):
-        return int(np.prod(self.shape))
+        return prod(self.shape)  # Python ints: np.prod wraps past 2^63
 
     @property
     def spacing(self):
@@ -277,7 +278,8 @@ class Bump:
     def __init__(self, center, radius, amplitude=1.0):
         center = _frozen(np.atleast_1d(center))
         radius = float(radius)
-        # the Hessian scales with (2 / radius^2)^2, which must stay finite
+        # the bump's curvature is of order (2 / radius^2)^2: past the float
+        # range no bound read from its samples can stand for it
         with np.errstate(over="ignore", divide="ignore"):
             curvature = (2.0 / np.float64(radius) ** 2) ** 2
         if not (radius > 0.0 and radius * radius < np.inf and np.isfinite(curvature)):
@@ -295,63 +297,17 @@ class Bump:
                              f"points have dimension {pts.shape[1]}")
         return pts
 
-    def _u(self, pts):
-        d = self._points(pts) - self.center
-        return np.sum(d * d, axis=1) / self.radius**2, d
-
     def value(self, pts):
         return _bump_values(self._points(pts), self.center[None], self.radius,
                             self.amplitude)[0]
-
-    def gradient(self, pts):
-        u, d = self._u(pts)
-        out = np.zeros(d.shape)
-        inside = u < 1.0
-        w = 1.0 - u[inside]
-        phi = self.amplitude * np.exp(1.0 - 1.0 / w)
-        # d(phi)/du = -phi / w^2, du/dx = 2 d / r^2
-        out[inside] = (-phi / w**2)[:, None] * (2.0 * d[inside] / self.radius**2)
-        return out
-
-    def hessian(self, pts):
-        u, d = self._u(pts)
-        n = d.shape[1]
-        out = np.zeros((d.shape[0], n, n))
-        inside = u < 1.0
-        w = 1.0 - u[inside]
-        phi = self.amplitude * np.exp(1.0 - 1.0 / w)
-        di = d[inside]
-        a = -phi / w**2                       # d phi / du
-        b = phi * (1.0 - 2.0 * w) / w**4      # d^2 phi / du^2
-        g = 2.0 / self.radius**2
-        eye = np.eye(n)
-        out[inside] = (b * g * g)[:, None, None] * np.einsum("ki,kj->kij", di, di) \
-            + (a * g)[:, None, None] * eye
-        return out
 
     def sample(self, domain: GridDomain) -> ExtGridFn:
         vals = self.value(domain.points()).reshape(domain.shape)
         return ExtGridFn(domain, vals)
 
-    def c2_norm(self):
-        """Sup of |phi| + |grad phi| + |<H v, v>| from analytic derivatives.
-
-        Sampled on a fine 1d radial profile; the bump is radially symmetric so
-        the sups over V reduce to sups over the radius.
-        """
-        r = np.linspace(0.0, self.radius * (1 - 1e-9), 4001)
-        pts = np.zeros((r.size, self.center.size))
-        pts[:, 0] = r
-        pts = pts + self.center
-        v = np.max(np.abs(self.value(pts)))
-        g = np.max(np.linalg.norm(self.gradient(pts), axis=1))
-        hs = self.hessian(pts)
-        h = np.max(np.abs(np.linalg.eigvalsh(hs)))
-        return float(v + g + h)
-
     def support_mask(self, domain: GridDomain):
-        u, _ = self._u(domain.points())
-        return (u < 1.0).reshape(domain.shape)
+        d = self._points(domain.points()) - self.center
+        return (np.sum(d * d, axis=1) / self.radius**2 < 1.0).reshape(domain.shape)
 
 
 @dataclass(frozen=True, eq=False)

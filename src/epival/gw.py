@@ -31,8 +31,8 @@ class GWQuery:
     """Order, test functions (Bump or grid), optional base and step.
 
     The default base is |x|^2 on the resolved domain; the default step is
-    min(0.1, 1/(k * max C2 bound of the tests)), halved until the corner
-    functions pass the convexity check.
+    min(0.1, 1/(k * max C2 bound of the tests' samples)), at which corners on
+    that base pass the convexity check; corners that fail halve the step.
     """
 
     order: int
@@ -88,8 +88,7 @@ def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
 
 
 def _auto_step(k, c2s):
-    worst = max(c2s) if c2s else 1.0
-    return min(0.1, 1.0 / (k * max(worst, 1e-12)))
+    return min(0.1, 1.0 / (k * max(max(c2s), 1e-12)))
 
 
 def _multiset(tests):
@@ -257,9 +256,12 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
     base_vals, base_value = _base(spec, dom)
-    c2 = Bump(dom.center, probe_radius, 1.0).c2_norm()
-    h0 = step if step is not None else _auto_step(k, [c2])
     pts = dom.points()
+    # probes sit on nodes and share the samples of this one up to the
+    # boundary; a probe off the nodes could sample to zero
+    mid = pts[np.ravel_multi_index(tuple(n // 2 for n in dom.shape), dom.shape)]
+    _, c2 = _test_function(Bump(mid, probe_radius, 1.0), dom)
+    h0 = step if step is not None else _auto_step(k, [c2])
 
     def block(i, j):
         # the same values Bump(pts[c], probe_radius).sample(dom) gives

@@ -87,7 +87,7 @@ def _domain_from_dict(obj):
         raise FormatError(f"bad domain record: {err}") from err
     try:
         return GridDomain(lo, hi, shape)
-    except (TypeError, OverflowError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad domain record: {err}") from err
 
 
@@ -144,7 +144,7 @@ def load_polytope(path) -> Polytope:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise FormatError("polytope file needs 'vertices'")
     try:
-        return Polytope(_finite(obj["vertices"]))
+        return Polytope(_finite(obj["vertices"], rank=2))
     except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad polytope: {err}") from err
 
@@ -177,8 +177,9 @@ def load_valuation_spec(path, check: bool = True):
     return _load_spec(os.path.abspath(path), check, ())
 
 
-def _finite(value):
-    """A JSON number or nested lists of them as a finite float array."""
+def _finite(value, rank=None):
+    """A JSON number or nested lists of them as a finite float array, with
+    `rank` axes when given."""
     leaves = [value]
     while leaves:
         v = leaves.pop()
@@ -187,6 +188,8 @@ def _finite(value):
         else:
             _number(v)
     arr = np.asarray(value, dtype=float)
+    if rank is not None and arr.ndim != rank:
+        raise ValueError(f"expected {rank} levels of lists, got {arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
     return arr
@@ -213,8 +216,8 @@ def _load_spec(path, check, stack):
         raise FormatError("valuation spec needs a 'kind'")
     kind = obj["kind"]
     if kind == "pairing":
-        nodes, weights = _parse(kind, lambda: (_finite(obj["nodes"]),
-                                               _finite(obj["weights"])))
+        nodes, weights = _parse(kind, lambda: (_finite(obj["nodes"], rank=2),
+                                               _finite(obj["weights"], rank=1)))
         return PairingMeasure(nodes, weights, check=check)
     if kind == "constant":
         return Constant(_parse(kind, lambda: float(_finite(_number(obj["value"])))))

@@ -1,4 +1,7 @@
 import argparse
+import ast
+import copy
+import importlib
 import json
 import os
 import subprocess
@@ -168,6 +171,9 @@ NODES = [[1.0], [-1.0], [0.0]]
     {"kind": "hessian", "k": True, "weight": "w.json"},
     {"kind": "hessian", "k": "1", "weight": "w.json"},
     {"kind": "composite", "terms": [[True, "mu1.json"]]},
+    # arrays of the wrong rank, which numpy would broadcast or reshape
+    {"kind": "pairing", "nodes": NODES, "weights": [[1.0], [1.0], [-2.0]]},
+    {"kind": "pairing", "nodes": [1.0, -1.0, 0.0], "weights": [1.0, 1.0, -2.0]},
 ])
 def test_malformed_spec_field_exit2(tmp_path, capsys, spec):
     write_mu1(tmp_path / "mu1.json")
@@ -279,6 +285,9 @@ def test_polarize_command(tmp_path, capsys):
     [[1.0, "0.5"], [-1.0, 0.0]],
     [[1.0, False], [-1.0, 0.0]],
     [[1.0, 0.0], [-1.0]],
+    5,
+    [1.0, 2.0],
+    [[[1.0]]],
 ])
 def test_malformed_polytope_exit2(tmp_path, capsys, vertices):
     write_mu1(tmp_path / "mu1.json")
@@ -405,6 +414,10 @@ GRID_1D = {"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
     ("lo", [False]),
     ("values", [1.0, 10**400, 0.0, 0.25, 1.0]),  # beyond the float range
     ("lo", [-10**400]),
+    # domains GridDomain refuses
+    ("lo", [2.0]),
+    ("shape", []),
+    ("shape", [2]),
 ])
 def test_malformed_grid_file_exit2(tmp_path, capsys, field, value):
     obj = json.loads(json.dumps(GRID_1D))
@@ -416,6 +429,21 @@ def test_malformed_grid_file_exit2(tmp_path, capsys, field, value):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(os.listdir(tmp_path)) == ["f.json"]
+    if field != "values":  # the mask reader reads domains the same way
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"domain": obj["domain"], "marked": [0] * 5}))
+        with pytest.raises(epival.FormatError):
+            load_mask(mask)
+
+
+def test_readers_refuse_a_shape_whose_cell_count_overflows(tmp_path):
+    # 2^32 * 2^32 cells wrap to 0 in int64, which an empty list would match
+    domain = {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "shape": [2**32, 2**32]}
+    for name, read, field in (("f.json", load_grid_fn, "values"),
+                              ("mask.json", load_mask, "marked")):
+        (tmp_path / name).write_text(json.dumps({"domain": domain, field: []}))
+        with pytest.raises(epival.FormatError, match="match"):
+            read(tmp_path / name)
 
 
 def test_transform_takes_no_unchecked(tmp_path, capsys):
@@ -613,3 +641,121 @@ def test_integer_options_exit_0_2_or_3(tmp_path, capsys, command_option, value):
     assert _exit_code(_commands(tmp_path)[command] + [f"{option}={value}"]) in (0, 2, 3)
     capsys.readouterr()
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+# ------------------------------------------------------------- reader fuzz
+
+# JSON values; file names never hold a path separator, so a spec's
+# references stay inside the test directory
+_NAME = st.text(st.characters(blacklist_characters="/\\"), max_size=6)
+_NUM = st.one_of(st.integers(-4, 40), st.floats(-1e3, 1e3), st.floats(),
+                st.sampled_from([10**400, 2**63, 1e308, -1e308]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUM, _NAME,
+              st.sampled_from(["inf", "mu1.json", "w.json", "spec.json", "pairing",
+                               "hessian", "constant", "composite"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_NAME, inner, max_size=3)),
+    max_leaves=10)
+_DROP = object()
+
+GRID_2D = {"domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "shape": [3, 3]},
+           "values": [2.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 2.0]}
+FILES = {
+    "grid": [GRID_1D, GRID_2D],
+    "polytope": [{"vertices": [[1.0, 0.0], [-1.0, 0.0]]}, {"vertices": [[0.5, 1.0]]}],
+    "spec": [{"kind": "pairing", "nodes": NODES, "weights": [1.0, 1.0, -2.0]},
+             {"kind": "hessian", "k": 1, "weight": "w.json", "aux": []},
+             {"kind": "constant", "value": 1.5},
+             {"kind": "composite", "terms": [[1.0, "mu1.json"], [0.5, "c.json"]]}],
+    "mask": [{"domain": GRID_1D["domain"], "marked": [0, 1, 1, 1, 0]}],
+}
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(data, obj):
+    """obj with one or two values replaced, mostly by numbers, or dropped."""
+    obj = copy.deepcopy(obj)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(obj))))
+        value = data.draw(st.one_of(st.just(_DROP), _NUM, st.lists(_NUM, max_size=4),
+                                    _JSON))
+        if not path:
+            obj = {} if value is _DROP else value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on inputs like 1e308
+@settings(derandomize=True, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_malformed_files_exit_0_2_or_3(tmp_path, capsys, kind, data):
+    """Each reader, through the CLI (or load_mask directly), on valid files
+    with random JSON put in or cut out: exit 0, 2 or 3 and never a
+    traceback, and a failed command leaves no output or temporary file."""
+    write_mu1(tmp_path / "mu1.json")
+    dump_json_atomic({"kind": "constant", "value": 2.0}, tmp_path / "c.json")
+    d = GridDomain([-2.0], [2.0], [33])
+    save_grid_fn(Bump([0.0], 1.2, 1.0).sample(d), tmp_path / "w.json")
+    write_grid(tmp_path / "f.json", d, lambda p: p[:, 0] ** 2)
+    if data.draw(st.integers(0, 4)):
+        obj = _mutated(data, data.draw(st.sampled_from(FILES[kind])))
+    else:
+        obj = data.draw(_JSON)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    if kind == "mask":
+        try:
+            load_mask(path)
+        except epival.FormatError:
+            pass
+        return
+    out = tmp_path / "out.data"
+    spec = ["--spec", str(tmp_path / "mu1.json")]
+    argv = {
+        "grid": ["transform", "--op", data.draw(st.sampled_from(["legendre", "reg"])),
+                 "--r", "0.5", "--in", str(path), "--out", str(out)],
+        "polytope": ["embed", *spec, "--polytope", str(path), "--grid=-2:2:33"],
+        "spec": ["decompose", "--spec", str(path), "--in", str(tmp_path / "f.json"),
+                 "--out", str(out)],
+    }[kind]
+    rc = _exit_code(argv)
+    capsys.readouterr()
+    assert rc in (0, 2, 3)
+    assert rc == 0 or not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+    if out.exists():
+        out.unlink()
+
+
+def test_every_traced_function_exists():
+    """perfbench/traced_cli.py skips a TRACED function the package lacks, so
+    its per-layer metrics would read 0 rather than fail; read the list
+    without importing the harness and look each name up."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "traced_cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    for module, names in traced.items():
+        home = importlib.import_module(f"epival.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"epival.{module}.{name}"

@@ -95,24 +95,6 @@ def test_polytope_support():
         Polytope(np.zeros((0, 2)))
 
 
-@pytest.mark.parametrize("ndim", [1, 2])
-def test_bump_derivatives_match_finite_differences(ndim):
-    center = np.zeros(ndim)
-    b = Bump(center, 1.0, 1.3)
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.85, 0.85, size=(40, ndim))
-    eps = 1e-6
-    grad = b.gradient(pts)
-    hess = b.hessian(pts)
-    for a in range(ndim):
-        e = np.zeros(ndim)
-        e[a] = eps
-        num = (b.value(pts + e) - b.value(pts - e)) / (2 * eps)
-        assert np.allclose(grad[:, a], num, atol=1e-6, rtol=1e-5)
-        numh = (b.gradient(pts + e) - b.gradient(pts - e)) / (2 * eps)
-        assert np.allclose(hess[:, :, a], numh, atol=1e-5, rtol=1e-4)
-
-
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_bump_block_sampling_is_bit_identical(ndim):
     d = GridDomain([-1.0] * ndim, [1.0] * ndim, [9] * ndim)
@@ -135,7 +117,6 @@ def test_bump_support_and_smoothness():
     x = d.points().ravel()
     assert np.all(f.values[np.abs(x - 0.5) >= 0.25] == 0.0)
     assert f.values.max() == pytest.approx(2.0, abs=1e-6)
-    assert b.c2_norm() > 2.0
 
 
 def test_bump_refuses_points_of_another_dimension():

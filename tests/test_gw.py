@@ -16,10 +16,12 @@ from epival import (
     HessianDensity,
     PairingMeasure,
     StepAgreementError,
+    convex_split,
     diagonality_residual,
     evaluate,
     gw_eval,
     gw_report,
+    is_discretely_convex,
     mixed_determinant,
     polarize,
     random_convex_fn,
@@ -27,7 +29,7 @@ from epival import (
     support_scan,
     translate_covariance_residual,
 )
-from epival.convex import central_hessian_at
+from epival.convex import _discrete_c2_bound, central_hessian_at
 
 from helpers import grid1d, grid2d, mixed_coeff_oracle, quadratic, sample, subset_polarization
 
@@ -308,6 +310,64 @@ def test_scan_probes_halve_their_own_step(k, step):
         steps.add(report["step"])
     # the corner probes see little of their bump and keep the larger step
     assert len(steps) > 1 and step in steps
+
+
+def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():
+    # the grid centre is no node, so a probe there samples to zero; the step
+    # must come from a probe on a node, or 10 halvings do not reach it
+    d = GridDomain([-1.0], [1.0], [400])
+    mask = support_scan(mu1(0.5), 1, 0.4 * float(d.spacing[0]), domain=d)
+    x = d.points()[mask.marked.ravel(), 0]
+    assert mask.count == 6
+    assert np.all(np.min(np.abs(x[:, None] - [-0.5, 0.0, 0.5]), axis=1) < d.spacing[0])
+
+
+# --------------------------------------------------- the sampled C2 bound
+
+def _cube(n):
+    """[-1, 1]^n with 33, 17 or 9 samples per axis."""
+    return GridDomain([-1.0] * n, [1.0] * n, [{1: 33, 2: 17, 3: 9}[n]] * n)
+
+
+def _random_bumps(data, domain, count):
+    """`count` bumps in `domain`, half of them of radius under two cells."""
+    n, cell = domain.ndim, float(domain.spacing[0])
+    radii = st.one_of(st.floats(cell / 3, 2 * cell), st.floats(2 * cell, 0.8))
+    return [Bump(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n)),
+                 data.draw(radii), data.draw(st.floats(-3.0, 3.0)))
+            for _ in range(count)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_default_step_comes_from_the_samples_and_is_never_halved(data):
+    n = data.draw(st.integers(1, 3))
+    dom = _cube(n)
+    k = data.draw(st.integers(1, n))
+    tests = _random_bumps(data, dom, k)
+    if data.draw(st.booleans()):
+        tests = [tests[0]] * k  # identical tests: the binomial corners
+    if k == 1:
+        nodes = np.zeros((3, n))
+        nodes[0, 0], nodes[1, 0] = 0.5, -0.5
+        spec = PairingMeasure(nodes, [1.0, 1.0, -2.0])
+    else:
+        spec = HessianDensity(k, Bump(np.zeros(n), 0.5, 1.0).sample(dom),
+                              [np.eye(n)] * (n - k))
+    report = gw_report(spec, GWQuery(k, tests), dom)
+    c2 = max(_discrete_c2_bound(b.sample(dom)) for b in tests)
+    assert report["step"] == min(0.1, 1.0 / (k * max(c2, 1e-12)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_convex_split_of_random_bumps_has_convex_halves(data):
+    dom = _cube(data.draw(st.integers(1, 3)))
+    bump, = _random_bumps(data, dom, 1)
+    f, h = convex_split(bump, dom)
+    assert is_discretely_convex(f) and is_discretely_convex(h)
+    residual = np.max(np.abs(f.values - h.values - bump.sample(dom).values))
+    assert residual <= 1e-12 * (1.0 + np.max(h.values))
 
 
 # ----------------------------------------------------- translate covariance
