@@ -64,11 +64,14 @@ def _check_out(path):
 
 def cmd_transform(args, spec):
     f = serialize.load_grid_fn(args.infile)
+    fstar = None  # f*, which the gap starts from, once an op has computed it
     if args.op == "legendre":
         out = convex.legendre(f, _parsed("--grid", _grid, args.grid))
         key, cells = "sup_diff_vs_input", None
         if out.domain.same_as(f.domain):
             cells = f.finite_mask & out.finite_mask
+        if args.grid is None:
+            fstar = out
     elif args.op == "reg":
         if args.r is None:
             raise ValueError("--op reg requires --r")
@@ -77,11 +80,12 @@ def cmd_transform(args, spec):
     else:
         if args.R is None:
             raise ValueError("--op reconstruct requires --R")
-        out = convex.reconstruct_from_conjugate(f, args.R)
+        fstar = convex.legendre(f)
+        out = convex._reconstruct_from_conjugate(f, args.R, fstar)
         key = "sup_error_ball"
         cells = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
-    # a legendre without --grid has computed the conjugate the gap starts from
-    fstar = out if args.op == "legendre" and args.grid is None else convex.legendre(f)
+    if fstar is None:
+        fstar = convex.legendre(f)
     report = {"biconjugate_gap": convex._biconjugate_gap(f, fstar), key: None}
     if cells is not None:
         report[key] = float(np.max(np.abs(out.values[cells] - f.values[cells])))

@@ -58,20 +58,29 @@ def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
     return bool(_convex_rows(f.values[None], tol)[0])
 
 
-def _convex_rows(stack, tol=1e-9):
+def _convex_rows(stack, tol=1e-9, outside=None):
     """is_discretely_convex for each row of a (B, *grid) value stack, each
     row against its own scale. A stack with no +inf cell skips the masking
-    and the scan-line test, which then hold trivially."""
+    and the scan-line test, which then hold trivially.
+
+    With outside = (top, low), both (B,), each row is a window of a larger
+    function whose largest |value| beyond the window is top and whose
+    smallest second difference centred there is low (_beyond_windows): the
+    scale is the whole function's, and low must clear the threshold too.
+    """
     rows, ndim = stack.shape[0], stack.ndim - 1
     axes = tuple(range(1, ndim + 1))
     fin = np.isfinite(stack)
     finite = bool(fin.all())
     vals = stack if finite else np.where(fin, stack, 0.0)
-    thr = -tol * (1.0 + np.max(np.abs(vals), axis=axes))
-    ok = np.ones(rows, dtype=bool)
+    top, low = (-np.inf, np.inf) if outside is None else outside
+    thr = -tol * (1.0 + np.maximum(np.max(np.abs(vals), axis=axes), top))
+    ok = low >= thr
     for d in _directions(ndim):
         vm, vc, vp = _shifted_views(vals, (0,) + d)
-        second = vm - 2.0 * vc + vp
+        second = np.multiply(vc, -2.0)  # (vm - 2 vc) + vp, in one temporary
+        second += vm
+        second += vp
         if not finite:
             fm, fc, fp = _shifted_views(fin, (0,) + d)
             second = np.where(fm & fc & fp, second, np.inf)
@@ -88,6 +97,43 @@ def _convex_rows(stack, tol=1e-9):
         last = m2.shape[2] - 1 - np.argmax(m2[..., ::-1], axis=2)
         ok &= np.all((count == 0) | (last - first + 1 == count), axis=1)
     return ok
+
+
+def _beyond(arr, lo, hi, op, empty):
+    """op (np.maximum or np.minimum) reduced over the cells of arr outside
+    each box [lo, hi) of (P, n) corners; `empty` where no cell is outside."""
+    out = np.full(lo.shape[0], empty)
+    for a in range(arr.ndim):
+        line = op.reduce(np.moveaxis(arr, a, 0).reshape(arr.shape[a], -1), axis=1)
+        below = np.r_[empty, op.accumulate(line)]              # over lines < i
+        above = np.r_[op.accumulate(line[::-1])[::-1], empty]  # over lines >= i
+        out = op(out, op(below[lo[:, a]], above[hi[:, a]]))
+    return out
+
+
+def _beyond_windows(vals, cells):
+    """(top, low) of _convex_rows for windows of functions equal to the
+    finite grid values `vals` except at cells two or more cells inside every
+    window edge that is not a grid edge; cells (P, *W) holds the windows'
+    flat grid indices.
+
+    Both are taken beyond the window less those edges: the largest |vals|
+    there (with the window's own maximum, the whole function's: the edges
+    hold vals), and the smallest second difference of vals centred there (a
+    centre in the rest has its whole stencil in the window).
+    """
+    shape, window = np.array(vals.shape), np.array(cells.shape[1:])
+    starts = np.stack(np.unravel_index(cells.reshape(len(cells), -1)[:, 0], vals.shape),
+                      axis=1)
+    lo = np.where(starts > 0, starts + 1, 0)
+    hi = np.where(starts + window < shape, starts + window - 1, shape)
+    second = np.full(vals.shape, np.inf)
+    for d in _directions(vals.ndim):
+        vm, vc, vp = _shifted_views(vals, d)
+        centre = _shifted_views(second, d)[1]
+        np.minimum(centre, vm - 2.0 * vc + vp, out=centre)
+    return (_beyond(np.abs(vals), lo, hi, np.maximum, -np.inf),
+            _beyond(second, lo, hi, np.minimum, np.inf))
 
 
 def lipschitz_bound(f: ExtGridFn) -> float:
@@ -352,6 +398,11 @@ def reconstruct_from_conjugate(f: ExtGridFn, R: float) -> ExtGridFn:
     epi(f*) with |y| <= 2c and |t| <= (2R+3)c; its support function in
     direction (x, -1) recovers f on the ball of radius R+1.
     """
+    return _reconstruct_from_conjugate(f, R, legendre(f))
+
+
+def _reconstruct_from_conjugate(f: ExtGridFn, R: float, fstar: ExtGridFn) -> ExtGridFn:
+    """reconstruct_from_conjugate(f, R) from its conjugate fstar = legendre(f)."""
     if R <= 0:
         raise ValueError("R must be positive")
     dom = f.domain
@@ -363,7 +414,6 @@ def reconstruct_from_conjugate(f: ExtGridFn, R: float) -> ExtGridFn:
         raise ValueError("f must be finite on the ball of radius R+2")
     c = float(np.max(np.abs(f.values[ball])))
     c = max(c, 1e-300)
-    fstar = legendre(f)
     ynorm = fstar.domain.point_norms(center=np.zeros(dom.ndim))
     tcap = (2 * R + 3) * c
     keep = (ynorm <= 2 * c * (1 + 1e-12)) & (fstar.values <= tcap)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainExceeded
 
@@ -201,6 +202,13 @@ def _dilate(mask):
     return out
 
 
+def _window_cells(shape, window, starts):
+    """Flat indices (P, *window) of the cells of P boxes of shape `window` on
+    a grid of shape `shape`, whose first cells are the (P, n) starts."""
+    flat = np.arange(prod(shape)).reshape(shape)
+    return sliding_window_view(flat, tuple(window))[tuple(np.asarray(starts).T)]
+
+
 def _margin_mask(shape, width):
     """Cells within `width` of the grid boundary on some axis."""
     m = np.zeros(shape, dtype=bool)
@@ -256,10 +264,11 @@ class Polytope:
 
 
 def _bump_values(pts, centers, radius, amplitude=1.0):
-    """(C, N) values at the (N, n) points of the bumps with the given (C, n)
-    centers and a shared radius and amplitude; row c is bit-identical to
-    Bump(centers[c], radius, amplitude).value(pts)."""
-    d = np.atleast_2d(pts)[None] - centers[:, None]
+    """(C, N) values of the bumps with the given (C, n) centers and a shared
+    radius and amplitude, at N points: (N, n) shared ones or (C, N, n), a set
+    per bump. Each value is bit-identical to Bump(center, radius,
+    amplitude).value at its point."""
+    d = pts - centers[:, None]
     u = np.sum(d * d, axis=-1) / radius**2
     out = np.zeros(u.shape)
     inside = u < 1.0

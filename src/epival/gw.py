@@ -7,19 +7,29 @@ for distinct tests, k + 1 for identical ones); for a k-homogeneous valuation
 the polynomial has total degree at most k, so the extraction is independent
 of the step size, which the implementation verifies by re-running at half
 the step. Many probes are evaluated at once: their corners form one stack.
+
+A corner differs from the base only where its tests do not vanish, so a
+support scan evaluates each probe on a window of O(probe support) cells:
+the convexity check takes the base's scale and second differences beyond
+the window, which keeps every outcome the whole grid's, and the valuation is
+taken in its window form, whose terms beyond the window cancel in the mixed
+difference. gw_report is the same computation with the whole grid as its
+one window.
 """
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial, inf
+from math import comb, factorial, inf, prod
 
 import numpy as np
 
-from .convex import _by_rows, _convex_rows, _extend, _test_function, is_discretely_convex
+from .convex import (_beyond_windows, _by_rows, _convex_rows, _extend, _test_function,
+                     is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
-from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate
+from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate, _window_cells
 from .sampling import random_convex_fn
-from .valuations import PairingMeasure, _evaluate_stack, _read_mask, evaluate, grid_domain
+from .valuations import (PairingMeasure, _evaluate_stack, _evaluate_windows, _local,
+                         _read_mask, evaluate, grid_domain)
 
 REL_STEP_TOL = 1e-7
 _MAX_HALVINGS = 10
@@ -67,14 +77,14 @@ def polarize(spec, k: int, fs) -> float:
         raise ValueError("functions must share a domain")
     distinct, mults = _multiset([f.values for f in fs])
     plan = _corner_plan(mults)
-    corners = _corners(np.zeros(g.values.shape), np.stack(distinct)[None], plan,
+    corners = _corners(np.zeros((1,) + g.values.shape), np.stack(distinct)[None], plan,
                        np.ones((1, 1)))[0, 0]
     rows = np.concatenate([[g.values * 2.0, g.values], corners])
     vals = _evaluate_stack(spec, g.domain, rows)
     a, b = float(vals[0]), float(vals[1])
     if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
         raise ValueError("valuation fails the k-homogeneity residual check")
-    return float(_difference(plan, 0.0, vals[None, 2:], 1.0, k)[0][0])
+    return float(_difference(plan, 0.0, vals[None, 2:], 1.0, k)[0])
 
 
 def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
@@ -117,12 +127,13 @@ def _corner_plan(mults):
 
 
 def _corners(base_vals, phis, plan, steps):
-    """(P, S, C, *grid) stack of the non-base corners of P probes, each at
-    its S steps, where phis is (P, G, *grid) and steps is (P, S)."""
-    steps = steps.reshape(steps.shape + (1,) * base_vals.ndim)
-    out = np.empty(steps.shape[:2] + (len(plan) - 1,) + base_vals.shape)
+    """(P, S, C, *W) stack of the non-base corners of P probes, each at its
+    S steps, where base_vals is (P, *W) or, shared, (1, *W), phis is
+    (P, G, *W) and steps is (P, S)."""
+    steps = steps.reshape(steps.shape + (1,) * (phis.ndim - 2))
+    out = np.empty(steps.shape[:2] + (len(plan) - 1,) + phis.shape[2:])
     for c, (_, js) in enumerate(plan[1:]):
-        vals = base_vals
+        vals = base_vals[:, None]
         for g, j in enumerate(js):
             if j:
                 vals = vals + (j * steps) * phis[:, None, g]
@@ -136,18 +147,28 @@ def _noise_floor(corner_max, k, h):
 
 def _difference(plan, base_value, vals, h, k):
     """(1/(k! h^k)) sum over corners of coef * mu(corner) for each row of
-    the (P, C) non-base corner values, and the largest |mu| over corners."""
+    the (P, C) non-base corner values, with mu(base) = base_value (a number
+    or (P,))."""
     total = np.full(vals.shape[0], plan[0][0] * base_value)
     for c, (coef, _) in enumerate(plan[1:]):
         total = total + coef * vals[:, c]
-    corner_max = np.maximum(abs(base_value), np.max(np.abs(vals), axis=1))
-    return total / (factorial(k) * h**k), corner_max
+    return total / (factorial(k) * h**k)
 
 
-def _gw_core(spec, dom, base_vals, base_value, phis, mults, h):
+def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     """Mixed differences of P probes at their steps h and h/2, with the
-    agreement check; phis is (P, G, *grid), the G distinct tests of each
-    probe with multiplicities mults, and mu(base) = base_value.
+    agreement check; mu(base) = base_value, and phis is (P, G, *W), the G
+    distinct tests of each probe with multiplicities mults on its window,
+    whose flat grid indices are cells (P, *W). Tests vanish on the two outer
+    layers of a window's cells, except where it meets the grid's edge.
+
+    Corners differ from the base only inside the window, so a probe is
+    evaluated there: its convexity check takes the base's scale and second
+    differences beyond the window (the outcome is the whole-grid check's),
+    and its mixed difference is the one of the window form mu_W, where the
+    terms beyond the window cancel. The noise floor scales with mu itself,
+    mu_W + mu(base) - mu_W(base) at a corner. A window that is the whole
+    grid is the whole-grid computation.
 
     Each probe starts at step h; a probe whose corners at h or h/2 fail the
     convexity check halves its own step and is tried again. Returns a
@@ -156,21 +177,34 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h):
     """
     k = sum(mults)
     plan = _corner_plan(mults)
-    shape = base_vals.shape
+    window = cells.shape[1:]
+    base_win = base_vals.ravel()[cells]
+    outside, mu_w = None, np.full(len(cells), base_value)
+    if window != dom.shape:
+        outside = _beyond_windows(base_vals, cells)
+        mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
+    # mu = mu_W + offset at every corner: the noise floor scales with mu,
+    # whose rounding in the stencils the window terms alone understate
+    offset = base_value - mu_w
     out = np.empty((5, phis.shape[0]))
     steps = np.full(phis.shape[0], float(h))
     todo = np.arange(phis.shape[0])
     for _ in range(_MAX_HALVINGS + 1):
         h = steps[todo]
-        stack = _corners(base_vals, phis[todo], plan, np.stack([h, h / 2.0], axis=1))
-        ok = _convex_rows(stack.reshape((-1,) + shape)).reshape(todo.size, -1).all(axis=1)
+        stack = _corners(base_win[todo], phis[todo], plan, np.stack([h, h / 2.0], axis=1))
+        rows = stack.reshape((-1,) + window)
+        beyond = None if outside is None else \
+            tuple(np.repeat(o[todo], rows.shape[0] // todo.size) for o in outside)
+        ok = _convex_rows(rows, outside=beyond).reshape(todo.size, -1).all(axis=1)
         if np.any(ok):
-            rows = stack if np.all(ok) else stack[ok]
-            vals = _evaluate_stack(spec, dom, rows.reshape((-1,) + shape))
-            vals = vals.reshape(rows.shape[:3])
-            h1 = h[ok]
-            v1, m1 = _difference(plan, base_value, vals[:, 0], h1, k)
-            v2, m2 = _difference(plan, base_value, vals[:, 1], h1 / 2.0, k)
+            sel = stack if np.all(ok) else stack[ok]
+            vals = _evaluate_windows(spec, dom, sel.reshape((sel.shape[0], -1) + window),
+                                     cells[todo[ok]]).reshape(sel.shape[:3])
+            h1, b, o = h[ok], mu_w[todo[ok]], offset[todo[ok]]
+            v1 = _difference(plan, b, vals[:, 0], h1, k)
+            v2 = _difference(plan, b, vals[:, 1], h1 / 2.0, k)
+            m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(v + o[:, None]), axis=1))
+                      for v in (vals[:, 0], vals[:, 1]))
             floor = _noise_floor(m1, k, h1) + _noise_floor(m2, k, h1 / 2.0)
             bad = np.abs(v1 - v2) > REL_STEP_TOL * np.maximum(np.abs(v1), np.abs(v2)) + floor
             if np.any(bad):
@@ -196,8 +230,9 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
         raise ValueError("step must be positive")
     base_vals, base_value = _base(spec, dom, query.base)
     distinct, mults = _multiset(stack)
+    whole = np.arange(dom.size).reshape((1,) + dom.shape)
     v1, v2, h_used, corner_max, floor = (float(v) for v in _gw_core(
-        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, h)[:, 0])
+        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, h, whole)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included
     denom = max(abs(v1), abs(v2)) + floor / REL_STEP_TOL
@@ -246,10 +281,17 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
                  domain: GridDomain | None = None, step: float | None = None,
                  return_responses: bool = False):
     """Probe response |s(c)| of a k-fold bump at every grid cell; cells above
-    tol * max response are marked. Degree 0 reports the empty support."""
+    tol * max response are marked. Degree 0 reports the empty support.
+
+    Each probe is evaluated on a window of floor(r / spacing) + 2 cells each
+    side of its node, shifted into the grid (the whole axis where that box
+    does not fit; the whole grid for a spec with a callable), see _gw_core.
+    """
     dom = grid_domain(spec, domain)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     if k == 0:
         mask = ScanMask(dom, np.zeros(dom.shape, dtype=bool))
         return (mask, np.zeros(dom.shape)) if return_responses else mask
@@ -262,16 +304,26 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     mid = pts[np.ravel_multi_index(tuple(n // 2 for n in dom.shape), dom.shape)]
     _, c2 = _test_function(Bump(mid, probe_radius, 1.0), dom)
     h0 = step if step is not None else _auto_step(k, [c2])
+    shape = np.array(dom.shape)
+    half = shape
+    if _local(spec):  # a bump vanishes beyond floor(r / spacing) cells
+        half = np.minimum(np.floor(probe_radius / dom.spacing) + 2, shape).astype(int)
+    window = tuple(int(w) for w in np.minimum(2 * half + 1, shape))
+    starts = np.clip(np.indices(dom.shape).reshape(dom.ndim, -1).T - half, 0,
+                     shape - window)
 
     def block(i, j):
-        # the same values Bump(pts[c], probe_radius).sample(dom) gives
-        phis = _bump_values(pts, pts[i:j], probe_radius)
-        phis = phis.reshape((phis.shape[0], 1) + dom.shape)
-        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h0)[0]
+        cells = _window_cells(dom.shape, window, starts[i:j])
+        # the values Bump(pts[c], probe_radius).sample(dom) has on the window
+        phis = _bump_values(pts[cells.reshape(len(cells), -1)], pts[i:j], probe_radius)
+        phis = phis.reshape((len(cells), 1) + window)
+        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h0, cells)[0]
 
-    # a probe's widest temporary: its 2k corner rows (steps h and h/2), each
-    # with up to one n x n Hessian per cell
-    width = 2 * k * dom.size * dom.ndim**2
+    # a probe's temporaries: its 2k corner rows (steps h and h/2) on the
+    # window, about three copies alive at once, and up to one n x n Hessian
+    # per inner window cell, with as much again for the stencils and the
+    # mixed determinant
+    width = 2 * k * (3 * prod(window) + 2 * dom.ndim**2 * prod(w - 2 for w in window))
     responses = _by_rows(dom.size, width, block).reshape(dom.shape)
     peak = float(np.max(np.abs(responses)))
     marked = np.abs(responses) > tol * peak if peak > 0 else \

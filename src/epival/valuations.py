@@ -175,6 +175,67 @@ def _evaluate_stack(spec, domain: GridDomain, stack):
     raise TypeError(f"not a valuation spec: {type(spec).__name__}")
 
 
+def _local(spec):
+    """Whether the spec is a sum of cell terms, which _evaluate_windows can
+    take on part of the grid: anything but a callable, or a composite with one."""
+    if isinstance(spec, Composite):
+        return all(_local(s) for _, s in spec.terms)
+    return not callable(spec)
+
+
+def _evaluate_windows(spec, domain: GridDomain, stack, cells):
+    """Values (P, R) of the window form mu_W of the valuation at R rows on
+    each of P windows: stack is (P, R, *W), cells (P, *W) the windows' flat
+    grid indices.
+
+    mu_W sums the terms whose stencil lies in the window: a Hessian
+    density's cells of supp(w) one cell inside the window's edges (aux
+    taken at the same cells), a pairing's cell weights g on the window
+    (node weights spread by their interpolation weights, mu(f) = <g, f>), a
+    constant's value, a composite's terms. Functions that agree outside a
+    window's inner cells have the same mu - mu_W. A window that is the whole
+    grid is evaluated by _evaluate_stack, as a callable must be.
+    """
+    P, R, window = stack.shape[0], stack.shape[1], stack.shape[2:]
+    if window == domain.shape:
+        return _evaluate_stack(spec, domain, stack.reshape((-1,) + window)).reshape(P, R)
+    if isinstance(spec, Constant):
+        return np.full((P, R), float(spec.value))
+    if isinstance(spec, PairingMeasure):
+        idx, w = _interpolation_corners(domain, spec.nodes)
+        g = np.zeros(domain.size)
+        np.add.at(g, idx, w * spec.weights[:, None])
+        return np.sum(stack * g[cells][:, None], axis=tuple(range(2, stack.ndim)))
+    if isinstance(spec, HessianDensity):
+        if not domain.same_as(spec.weight.domain):
+            raise ValueError("probe function domain differs from the weight domain")
+        n = domain.ndim
+        inner = cells[(slice(None),) + (slice(1, -1),) * n]
+        w = spec.weight.values.ravel()[inner]
+        at = np.nonzero(w)  # probe, then the cell's inner index on each axis
+        out = np.zeros((R, P))
+        if at[0].size:
+            # the windows side by side along the first axis are one grid,
+            # on which a stencil at an inner cell stays in its window
+            grid = np.moveaxis(stack, 1, 0).reshape((R, P * window[0]) + window[1:])
+            idx = np.stack(at[1:], axis=1) + 1
+            idx[:, 0] += at[0] * window[0]
+            H = central_hessian_at(grid, domain.spacing, idx)
+            mats = [H] * spec.order
+            for a in spec.aux:
+                mats.append(a if a.ndim == 2 else a.reshape(-1, n, n)[inner[at]])
+            terms = w[at] * mixed_determinant(*mats)
+            first = np.flatnonzero(np.r_[True, at[0][1:] != at[0][:-1]])
+            out[:, at[0][first]] = np.add.reduceat(terms, first, axis=1)
+        return out.T * np.prod(domain.spacing)
+    if isinstance(spec, Composite):
+        total = np.zeros((P, R))
+        for c, s in spec.terms:
+            total = total + c * _evaluate_windows(s, domain, stack, cells)
+        return total
+    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+
+
 def _read_mask(spec, domain: GridDomain):
     """Boolean grid of every cell _evaluate_stack(spec, domain, .) may read:
     changing a row anywhere else leaves that row's value unchanged."""

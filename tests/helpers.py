@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from epival import ExtGridFn, GridDomain
@@ -170,3 +172,13 @@ def reference_grid_json(f):
               "shape": [int(s) for s in f.domain.shape]}
     values = ["inf" if np.isposinf(v) else float(v) for v in f.values.ravel()]
     return json.dumps({"domain": domain, "values": values}, sort_keys=True)
+
+
+def peak_floats(call):
+    """Peak of the memory `call()` allocates, in floats."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()

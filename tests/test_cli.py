@@ -242,6 +242,32 @@ def test_scan_covers_nodes(tmp_path, capsys):
         assert np.any(mask.marked & (np.abs(x - nd) <= 0.3))
 
 
+def test_scan_negative_tol_exits_3_and_writes_no_mask(tmp_path, capsys):
+    write_mu1(tmp_path / "mu1.json")
+    out = tmp_path / "mask.json"
+    rc = main(["scan", "--spec", str(tmp_path / "mu1.json"), "--k", "1",
+               "--probe-radius", "0.3", "--grid=-2:2:33", "--tol", "-1", "--out", str(out)])
+    assert rc == 3
+    assert "tol must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_reconstruct_conjugates_once(tmp_path, capsys, monkeypatch):
+    """f* is taken once, for the reconstruction and the gap; the other
+    Legendre transform is the gap's f**."""
+    d = GridDomain([-3.5] * 2, [3.5] * 2, [15, 15])
+    fin, fout = tmp_path / "f.json", tmp_path / "rec.json"
+    write_grid(fin, d, lambda p: np.sum(p**2, axis=1) + 0.3 * p[:, 0])
+    legendre, calls = epival.convex.legendre, []
+    monkeypatch.setattr(epival.convex, "legendre", lambda *a: calls.append(a) or legendre(*a))
+    rc = main(["transform", "--op", "reconstruct", "--R", "1", "--in", str(fin),
+               "--out", str(fout)])
+    assert rc == 0 and len(calls) == 2
+    capsys.readouterr()
+    want = epival.convex.reconstruct_from_conjugate(load_grid_fn(fin), 1.0)
+    assert np.array_equal(load_grid_fn(fout).values, want.values)
+
+
 def test_seminorm_seeded_rerun_byte_identical(tmp_path, capsys):
     write_mu1(tmp_path / "mu1.json")
     outs = []

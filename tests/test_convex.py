@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +30,8 @@ from epival import (
     restrict,
     slope_range,
 )
-from epival.convex import _BLOCK, _convex_rows
+from epival.convex import _BLOCK, _beyond_windows, _convex_rows
+from epival.grids import _window_cells
 
 from helpers import (
     brute_chord_extension_1d,
@@ -41,6 +41,7 @@ from helpers import (
     brute_lsc_extend,
     grid1d,
     grid2d,
+    peak_floats,
     quadratic,
     random_connected_mask,
     sample,
@@ -102,6 +103,51 @@ def test_convexity_all_finite_stack_agrees_with_masked_stack():
     assert got.tolist() == [is_discretely_convex(ExtGridFn(d, r)) for r in stack]
     assert got.tolist() == [True] * 3 + [False, False, True, True, False, False]
     assert np.array_equal(_convex_rows(stack[:len(finite)]), got[:len(finite)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_window_convexity_decides_as_the_whole_rows(seed, data):
+    """_convex_rows on windows, with what _beyond_windows gives of the base
+    beyond them, decides as on the whole rows, for rows that differ from the
+    base only two or more cells inside every window edge that is not a grid
+    edge.
+
+    The base is affine or |x|^2, both steep or flat, less a dip at one cell
+    (often on the grid's boundary) of about the convexity threshold, so the
+    whole rows' scale, the base's second differences beyond a window and
+    the window's cells on the grid's boundary all decide some outcomes. Of a
+    probe's three rows, one is noisy, one is the base and one fills the dip
+    where the probe may change the base."""
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(3, {1: 24, 2: 9, 3: 6}[n])) for _ in range(n))
+    window = tuple(data.draw(st.integers(3, m)) for m in shape)
+    x = GridDomain([-1.0] * n, [1.0] * n, shape).points()
+    slope = data.draw(st.sampled_from([1.0, 1e3])) * rng.normal(size=n)
+    base = (x @ slope + data.draw(st.sampled_from([0.0, 1.0])) * np.sum(x**2, axis=1))
+    base = base.reshape(shape)
+    dip_at = tuple(data.draw(st.sampled_from([0, m - 1, int(rng.integers(m))])) for m in shape)
+    dip = data.draw(st.sampled_from([0.3, 3.0])) * 1e-9 * (1.0 + np.max(np.abs(base)))
+    base[dip_at] -= dip
+    P, R = 8, 3
+    starts = np.stack([rng.integers(0, m - w + 1, size=P) for m, w in zip(shape, window)],
+                      axis=1)
+    lo = starts + 2 * (starts > 0)
+    hi = starts + np.array(window) - 2 * (starts + np.array(window) < np.array(shape))
+    rows = np.repeat(base[None, None], P * R, axis=0).reshape((P, R) + shape)
+    for p in range(P):
+        box = tuple(slice(a, b) for a, b in zip(lo[p], hi[p]))
+        amp = data.draw(st.sampled_from([0.3 * dip, 1.0]))
+        rows[p, 0][box] += amp * rng.normal(size=rows[p, 0][box].shape)
+        if all(a <= i < b for i, a, b in zip(dip_at, lo[p], hi[p])):
+            rows[p, 2][dip_at] += dip
+    cells = _window_cells(shape, window, starts)
+    win = np.stack([rows[p].reshape(R, -1)[:, cells[p]] for p in range(P)])
+    top, low = _beyond_windows(base, cells)
+    outside = (np.repeat(top, R), np.repeat(low, R))
+    assert np.array_equal(_convex_rows(win.reshape((-1,) + window), outside=outside),
+                          _convex_rows(rows.reshape((-1,) + shape)))
 
 
 def test_convexity_rejects_bad_inputs():
@@ -175,6 +221,60 @@ def test_legendre_order_reversal_exact():
     fs = legendre(f, dual)
     gs = legendre(g, dual)
     assert np.all(fs.values >= gs.values)
+
+
+def _random_grid_fn(data, seed):
+    """A random convex function on a random 1-3D grid, +inf outside a
+    random sub-box half of the time."""
+    n = data.draw(st.integers(1, 3))
+    shape = [data.draw(st.integers(3, {1: 40, 2: 12, 3: 6}[n])) for _ in range(n)]
+    lo = [data.draw(st.floats(-3.0, -0.5)) for _ in range(n)]
+    hi = [data.draw(st.floats(0.5, 3.0)) for _ in range(n)]
+    d = GridDomain(lo, hi, shape)
+    f = random_convex_fn(d, np.random.default_rng(seed))
+    if data.draw(st.booleans()):
+        idx = np.indices(d.shape)
+        box = np.ones(d.shape, dtype=bool)
+        for a, m in enumerate(d.shape):
+            i = data.draw(st.integers(0, m - 1))
+            box &= (idx[a] >= i) & (idx[a] <= data.draw(st.integers(i, m - 1)))
+        f = ExtGridFn(d, np.where(box, f.values, np.inf))
+    return f
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_fenchel_young_at_every_pair(seed, data):
+    """f(x) + f*(y) >= <x, y> at every primal cell and dual point, up to
+    the rounding of the sums."""
+    f = _random_grid_fn(data, seed)
+    fstar = legendre(f)
+    x, y = f.domain.points(), fstar.domain.points()
+    fin = f.finite_mask.ravel()
+    fx, fy = f.values.ravel()[fin], fstar.values.ravel()
+    xy = x[fin] @ y.T
+    scale = 1.0 + np.max(np.abs(fx)) + np.max(np.abs(fy)) + np.max(np.abs(xy))
+    assert np.min(fx[:, None] + fy[None, :] - xy) >= -1e-13 * scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_conjugate_of_an_affine_shift_is_the_shifted_conjugate(seed, data):
+    """(f + <a, .> + c)*(z) = f*(z - a) - c, with z on the dual grid of f*
+    shifted by a."""
+    f = _random_grid_fn(data, seed)
+    n = f.domain.ndim
+    a = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    c = data.draw(st.floats(-5.0, 5.0))
+    dual = default_dual_domain(f)
+    fstar = legendre(f, dual)
+    with warnings.catch_warnings():  # the identity holds on any dual grid
+        warnings.simplefilter("ignore")
+        gstar = legendre(f.add_affine(a, c), GridDomain(dual.lo + a, dual.hi + a, dual.shape))
+    x = f.domain.points()[f.finite_mask.ravel()]
+    reach = np.max(np.abs(x)) * (np.max(np.abs(dual.points())) + np.max(np.abs(a)))
+    scale = 1.0 + np.max(np.abs(f.values[f.finite_mask])) + abs(c) + reach
+    assert np.max(np.abs(gstar.values - (fstar.values - c))) <= 1e-13 * scale
 
 
 def test_legendre_with_inf_tails_is_warning_free():
@@ -667,15 +767,6 @@ def test_reg_output_is_lipschitz_between_adjacent_cells():
 
 # ------------------------------------------------------------------- memory
 
-def _peak_floats(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 8
-    finally:
-        tracemalloc.stop()
-
-
 def test_conjugate_kernels_allocate_at_most_two_and_a_half_blocks():
     rng = np.random.default_rng(7)
     f1 = random_convex_fn(GridDomain([-3.0], [3.0], [2049]), rng)
@@ -683,4 +774,4 @@ def test_conjugate_kernels_allocate_at_most_two_and_a_half_blocks():
     f3 = random_convex_fn(GridDomain([-3.5] * 2, [3.5] * 2, [65, 65]), rng)
     for call in (lambda: legendre(f1), lambda: lipschitz_regularize(f2, 0.5),
                  lambda: reconstruct_from_conjugate(f3, 1.0)):
-        assert _peak_floats(call) <= 2.5 * _BLOCK
+        assert peak_floats(call) <= 2.5 * _BLOCK

@@ -31,7 +31,8 @@ from epival import (
 )
 from epival.convex import _discrete_c2_bound, central_hessian_at
 
-from helpers import grid1d, grid2d, mixed_coeff_oracle, quadratic, sample, subset_polarization
+from helpers import (grid1d, grid2d, mixed_coeff_oracle, peak_floats, quadratic, sample,
+                     subset_polarization)
 
 
 def mu1(x=1.0):
@@ -295,21 +296,102 @@ def test_scan_does_not_depend_on_block_size(monkeypatch):
             support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1], whole[1])
 
 
+def _scan_steps(monkeypatch, *args, **kwargs):
+    """support_scan's mask and responses, the step each probe ended on and
+    the shape of the probes' windows."""
+    steps, windows, core = [], set(), epival.gw._gw_core
+
+    def recording(*a):
+        out = core(*a)
+        steps.append(out[2])
+        windows.add(a[-1].shape[1:])
+        return out
+
+    monkeypatch.setattr(epival.gw, "_gw_core", recording)
+    mask, resp = support_scan(*args, return_responses=True, **kwargs)
+    monkeypatch.undo()
+    window, = windows
+    return mask, resp, np.concatenate(steps).reshape(resp.shape), window
+
+
 @pytest.mark.parametrize("k, step", [(1, 0.2), (2, 0.1)])
-def test_scan_probes_halve_their_own_step(k, step):
+def test_scan_probes_halve_their_own_step(monkeypatch, k, step):
     d = grid2d(lo=-2.0, hi=2.0, n=17)
     spec = hess2(d) if k == 2 else HessianDensity(1, hess2(d).weight, aux=[np.eye(2)])
     radius = 0.5
-    _, resp = support_scan(spec, k, radius, domain=d, step=step, return_responses=True)
+    _, resp, scan_steps, _ = _scan_steps(monkeypatch, spec, k, radius, domain=d, step=step)
+    peak = np.max(np.abs(resp))
     steps = set()
-    # every fourth cell, the four corner cells among them
-    for c, r in zip(d.points()[::4], resp.ravel()[::4]):
+    # every fourth cell, the four corner cells among them; a probe's window
+    # sums fewer terms than the whole grid, so the base no longer cancels
+    # bit for bit
+    for c, r, h in zip(d.points()[::4], resp.ravel()[::4], scan_steps.ravel()[::4]):
         report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k, step=step),
                            domain=d)
-        assert r == report["value"]
+        assert abs(r - report["value"]) <= 1e-10 * peak
+        assert h == report["step"]
         steps.add(report["step"])
     # the corner probes see little of their bump and keep the larger step
     assert len(steps) > 1 and step in steps
+
+
+def _window_specs(kind):
+    """(spec, grid, k, probe radius) of every kind of spec a scan takes."""
+    d1 = GridDomain([-2.0], [2.0], [65])
+    d2 = grid2d(lo=-2.0, hi=2.0, n=21)
+    d3 = GridDomain([-2.0] * 3, [2.0] * 3, [11] * 3)
+    hess = hess2(d2)
+    x = d2.points().reshape(d2.shape + (2,))
+    aux = np.empty(d2.shape + (2, 2))
+    aux[..., 0, 0], aux[..., 1, 1] = 1.0 + x[..., 0] ** 2, 1.0 + x[..., 1] ** 2
+    aux[..., 0, 1] = aux[..., 1, 0] = 0.3 * x[..., 0] * x[..., 1]
+    star = PairingMeasure([[0.0, 0.1], [0.5, 0.1], [-0.5, 0.1], [0.0, 0.6], [0.0, -0.4]],
+                          [-4.0, 1.0, 1.0, 1.0, 1.0])
+    return {
+        "pairing-1d": (mu1(), d1, 1, 0.3),
+        "pairing-2d": (star, d2, 1, 0.45),
+        "hessian-k1-cell-aux": (HessianDensity(1, hess.weight, aux=[aux]), d2, 1, 0.5),
+        "hessian-k2": (hess, d2, 2, 0.5),
+        "hessian-k3-3d": (HessianDensity(3, Bump(d3.center, 1.0, 1.0).sample(d3)), d3, 3, 0.5),
+        "composite": (Composite([(1.0, hess), (-0.5, star), (2.0, Constant(1.0))]),
+                      d2, 2, 0.5),
+        "composite-callable": (Composite([(1.0, hess), (0.5, lambda f: evaluate(hess, f))]),
+                               d2, 2, 0.5),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["pairing-1d", "pairing-2d", "hessian-k1-cell-aux",
+                                  "hessian-k2", "hessian-k3-3d", "composite",
+                                  "composite-callable"])
+def test_scan_windows_match_the_whole_grid(monkeypatch, kind):
+    spec, d, k, radius = _window_specs(kind)
+    mask, resp, steps, window = _scan_steps(monkeypatch, spec, k, radius, domain=d)
+    assert (window == d.shape) == (kind == "composite-callable")
+    # every probe on the whole grid, as gw_report evaluates one
+    monkeypatch.setattr(epival.gw, "_local", lambda spec: False)
+    whole_mask, whole = support_scan(spec, k, radius, domain=d, return_responses=True)
+    peak = np.max(np.abs(whole))
+    assert peak > 0 and np.array_equal(mask.marked, whole_mask.marked)
+    assert np.max(np.abs(resp - whole)) <= 1e-10 * peak
+    every = d.size // 40  # about 40 cells
+    for c, r, h in zip(d.points()[::every], resp.ravel()[::every], steps.ravel()[::every]):
+        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k, step=h), domain=d)
+        assert abs(r - report["value"]) <= 1e-10 * peak
+        assert report["step"] == h
+
+
+def test_scan_allocates_at_most_two_and_a_half_blocks():
+    d2 = GridDomain([-2.0] * 2, [2.0] * 2, [65, 65])
+    d3 = GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3)
+    for spec, k in ((hess2(d2, radius=1.2), 2),
+                    (HessianDensity(3, Bump(d3.center, 1.2, 1.0).sample(d3)), 3)):
+        assert peak_floats(lambda: support_scan(spec, k, 0.3)) <= 2.5 * epival.convex._BLOCK
+
+
+def test_scan_refuses_a_negative_tol():
+    # a negative tol would mark every cell, zero responses included
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        support_scan(mu1(), 1, 0.3, tol=-1.0, domain=GridDomain([-2.0], [2.0], [65]))
 
 
 def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():
