@@ -196,22 +196,104 @@ def _separable_max(vals, axes, dual_axes):
     `dual_axes`, for vals on the product grid `axes`.
 
     The grid is a product, so the maximum factors axis by axis: each pass
-    maximises <y_a, x_a> + p over one axis of p. -inf cells drop out of
-    every later maximum. Lines and dual points are both blocked: a block of
-    products and the sums over it hold at most _BLOCK floats together.
+    maximises over one axis of p, for all lines of that axis at once
+    (_line_max). -inf cells drop out of every later maximum.
     """
     for a, (xa, ya) in enumerate(zip(axes, dual_axes)):
-        lines = np.moveaxis(vals, a, -1)
-        flat = lines.reshape(-1, xa.size)
-        step = max(1, _BLOCK // (2 * xa.size))  # dual points per block
-        cols = []
-        for k in range(0, ya.size, step):
-            pair = np.multiply.outer(ya[k:k + step], xa)
-            cols.append(_by_rows(flat.shape[0], 2 * pair.size,
-                                 lambda i, j: (flat[i:j, None, :] + pair).max(axis=2)))
-        out = np.concatenate(cols, axis=1)
-        vals = np.moveaxis(out.reshape(lines.shape[:-1] + (ya.size,)), -1, a)
+        lines = np.moveaxis(vals, a, 0)
+        out = _line_max(lines.reshape(xa.size, -1), xa, ya)
+        vals = np.moveaxis(out.reshape((ya.size,) + lines.shape[1:]), 0, a)
     return vals
+
+
+def _line_max(p, x, y):
+    """(M, L) maxima over i of g_j(i) = fl(fl(y_j x_i) + p_i) for each column
+    p of the (N, L) array p and each y_j of the increasing y, bit for bit the
+    direct maximum, in O(L (N log M + M)) work and O(L (N + M)) memory.
+
+    Every s-th dual point and the last are taken over whole lines, in one
+    block of about 8 (N + M) terms per line; on short axes that is every
+    point. The rest are taken by bisection: the middle m of each interval
+    (l, r) of known points, over the window from the maximizer k_l found at
+    l less w cells to the one found at r plus w cells. With c the fewest
+    dual steps from a middle point to its interval's ends, dy and h the
+    smallest dual and primal steps, u the unit roundoff and
+    D = u (2 max|y| max|x| + max|p|) over finite p, w = floor(8 D / (c dy h)).
+    On ordinary grids 8 D is far below dy h and w is 0.
+
+    Why each window holds a maximizer of g_m, so that its maximum is the
+    line's. Let e_j(i) = y_j x_i + p_i exactly; with one rounding of y x and
+    one of the sum, each evaluated term is within E = (1 + u) D of it.
+    Suppose k = k_l maximizes g_l over the whole line (true in the first
+    block, and then at every window by induction) and i < k - w. Then
+    k - i >= w + 1 > 8 D / (c dy h) as computed, which is more than
+    4 E / ((y_m - y_l) h) since y_m - y_l >= c dy, the spare factor 2
+    covering the rounding of D, dy, h and the quotient. As x_k - x_i is at
+    least (k - i) h, (y_m - y_l)(x_k - x_i) > 4 E and
+        e_m(i) - e_m(k) = e_l(i) - e_l(k) - (y_m - y_l)(x_k - x_i)
+                        < (g_l(i) - g_l(k) + 2 E) - 4 E <= -2 E,
+    so g_m(i) <= e_m(i) + E < e_m(k) - E <= g_m(k): i is no maximizer at m.
+    The right side is the mirror image. A -inf cell is never above a finite
+    one, and a line of -inf cells keeps its first cell as maximizer, which
+    every later window holds (each window takes its first maximizer). No
+    term overflows unless 2 max|y| max|x| + max|p| does, and then D is
+    infinite and every window is the whole line.
+
+    The windows of one bisection step are laid end to end and taken in
+    chunks of whole dual points, about 8 (N + M) cells per line each, so
+    wide windows (values far above their slopes times the steps) cost
+    work, up to the direct N M per line, but no more memory.
+    """
+    n, rows = p.shape
+    budget = 8 * rows * (n + y.size)
+    out = np.empty((y.size, rows))
+    arg = np.empty((y.size, rows), dtype=np.intp)
+    s = max(1, -(-n * (y.size - 1) // (8 * (n + y.size))))
+    ends = np.append(np.arange(0, y.size - 1, s), y.size - 1)
+    g = np.multiply.outer(x, y[ends])[:, :, None] + p[:, None, :]
+    out[ends] = g.max(axis=0)
+    if s == 1:
+        return out
+    arg[ends] = (g == out[ends]).argmax(axis=0)
+    del g
+
+    # 8 D and dy h as Python floats; 8 u = 4 eps
+    d8 = 4 * np.finfo(float).eps * float(2 * np.max(np.abs(y)) * np.max(np.abs(x))
+                                         + np.max(np.abs(p), where=np.isfinite(p), initial=0.0))
+    step = float(np.min(np.diff(y)) * np.min(np.diff(x)))
+    flat, xs = p.T.ravel(), np.tile(x, rows)    # line by line
+    first_cell = np.arange(rows) * n
+    left, right = ends[:-1], ends[1:]
+    while True:
+        wide = right - left >= 2
+        left, right = left[wide], right[wide]
+        if not left.size:
+            return out
+        mid = (left + right) // 2
+        gap = step * int(np.min(mid - left))         # right - mid >= mid - left
+        w = n if d8 >= n * gap else int(d8 / gap)
+        lo = np.maximum(arg[left] - w, 0)
+        hi = np.minimum(arg[right] + w, n - 1)
+        bisect_next = np.max(right - left) >= 3     # arg at mid is needed
+        size = hi - lo + 1
+        group = size.sum(axis=1)                     # window cells per dual point
+        total = np.cumsum(group)                     # chunks of about `budget` cells
+        bounds = range(budget, int(total[-1]), budget)
+        cuts = [0, *(np.searchsorted(total, bounds).tolist() if bounds else []), mid.size]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            part = size[a:b].ravel()
+            start = np.cumsum(part) - part
+            cell = np.arange(start[-1] + part[-1])
+            cell += np.repeat((first_cell + lo[a:b]).ravel() - start, part)
+            g = np.repeat(y[mid[a:b]], group[a:b])
+            g *= xs[cell]
+            g += flat[cell]
+            best = np.maximum.reduceat(g, start)
+            out[mid[a:b]] = best.reshape(-1, rows)
+            if bisect_next:
+                hit = np.flatnonzero(g == np.repeat(best, part))
+                arg[mid[a:b]] = cell[hit[np.searchsorted(hit, start)]].reshape(-1, rows) - first_cell
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
 
 
 def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
@@ -221,14 +303,14 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
     """
     if dual_domain is None:
         dual_domain = default_dual_domain(f)
+    elif dual_domain.ndim != f.domain.ndim:
+        raise ValueError("dual domain dimension mismatch")
     else:
         lo, hi = slope_range(f)
         slack = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
         if np.any(dual_domain.lo > lo + slack) or np.any(dual_domain.hi < hi - slack):
             warnings.warn("dual domain does not cover the slope range of f",
                           stacklevel=2)
-    if dual_domain.ndim != f.domain.ndim:
-        raise ValueError("dual domain dimension mismatch")
     if not np.any(f.finite_mask):
         raise ValueError("conjugate of an improper function")
     vals = np.where(f.finite_mask, -f.values, -np.inf)
@@ -266,19 +348,25 @@ def _biconjugate_gap(f: ExtGridFn, fstar: ExtGridFn) -> float:
     return float(np.max(np.abs(fss.values[sel] - f.values[sel])))
 
 
-def _cone_min(tgt, src, vals, L):
-    """min over j of vals_j + L |tgt_i - src_j| for (P, T, n) targets and
-    (P, S, n) sources, as (P, T). Squares are summed axis by axis, in the
-    order np.linalg.norm adds them, and the arithmetic is done in place, so
-    every pair gets the same bits wherever it is evaluated. Two (P, T, S)
-    arrays are alive at once, so callers keep P * T * S to _BLOCK / 2."""
-    sq = (tgt[:, :, None, 0] - src[:, None, :, 0]) ** 2
-    for a in range(1, tgt.shape[2]):
-        sq += (tgt[:, :, None, a] - src[:, None, :, a]) ** 2
+def _cone_min(tgt, src, vals, L, work):
+    """min over j of vals_j + L |tgt_i - src_j| for (T, n) targets and (S, n)
+    sources, as (T,). Squares are summed axis by axis, in the order
+    np.linalg.norm adds them, so every pair gets the same bits wherever it
+    is evaluated. The (T, S) arrays live in the float buffer `work`, at
+    least 2 T S long, which the caller reuses: fresh arrays of this size
+    would be mapped and faulted in anew for every box."""
+    t, s = tgt.shape[0], src.shape[0]
+    sq, d = work[:t * s].reshape(t, s), work[t * s:2 * t * s].reshape(t, s)
+    np.subtract.outer(tgt[:, 0], src[:, 0], out=sq)
+    np.square(sq, out=sq)
+    for a in range(1, tgt.shape[1]):
+        np.subtract.outer(tgt[:, a], src[:, a], out=d)
+        np.square(d, out=d)
+        sq += d
     np.sqrt(sq, out=sq)
     sq *= L
-    sq += vals[:, None, :]
-    return sq.min(axis=2)
+    sq += vals
+    return sq.min(axis=1)
 
 
 def _tiles(shape):
@@ -312,46 +400,36 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
         raise ValueError("regularization of an improper function")
     pts = f.domain.points()
     vals = f.values.ravel()
-
-    # Pass 1: ub(x), the minimum over the finite cells on every 4th grid
-    # line of each axis, an attained value and so an upper bound.
+    cells = _tiles(fin.shape)
+    tp, tv = pts[cells], vals[cells]            # +inf sources never win
+    lo, hi, vmin = tp.min(axis=1), tp.max(axis=1), tv.min(axis=1)
+    # the cells on every 4th grid line of each axis, for upper bounds
     strided = np.zeros(fin.shape, dtype=bool)
     strided[(slice(None, None, 4),) * fin.ndim] = True
     strided = (strided & fin).ravel()
-    ub = np.full(pts.shape[0], np.inf)
-    if np.any(strided):
-        src, sv = pts[None, strided], vals[None, strided]
-        ub = _by_rows(pts.shape[0], 2 * src.shape[1],
-                      lambda i, j: _cone_min(pts[None, i:j], src, sv, L)[0])
-
-    # Pass 2: box A skips box B when min_B f + L dist(A, B) > max_A ub. For x
-    # in A and y in B, |x_a - y_a| is at least the gap between the boxes on
-    # axis a and rounding is monotone, so the evaluated f(y) + L|x - y| is at
-    # least the evaluated bound; past the slack it exceeds ub(x), a value
-    # from a kept box, so no skipped pair is a minimum and the minimum over
-    # the kept pairs is the full one, bit for bit.
-    cells = _tiles(fin.shape)
-    tp, tv = pts[cells], vals[cells]            # +inf sources never win
-    lo, hi = tp.min(axis=1), tp.max(axis=1)
-    gap = np.maximum(0.0, np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]))
-    sq = gap[..., 0] ** 2
-    for a in range(1, gap.shape[2]):
-        sq += gap[..., a] ** 2
-    reach = L * np.sqrt(sq)
-    vmin, ubmax = tv.min(axis=1), ub[cells].max(axis=1)
-    lb = vmin[None] + reach
-    slack = 1e-12 * (np.abs(vmin)[None] + reach + np.abs(ubmax)[:, None])
-    keep = np.isfinite(vmin)[None] & (lb <= ubmax[:, None] + slack)
-    pa, pb = np.nonzero(keep)                   # row-major: grouped by target box
-    best = np.full(tv.shape, np.inf)
-    step = max(1, _BLOCK // (2 * tv.shape[1] ** 2))
-    for k in range(0, pa.size, step):
-        a, b = pa[k:k + step], pb[k:k + step]
-        m = _cone_min(tp[a], tp[b], tv[b], L)
-        first = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-        best[a[first]] = np.minimum(best[a[first]], np.minimum.reduceat(m, first))
-    out = np.empty(vals.size)
-    out[cells] = best
+    src, sv = pts[strided], vals[strided]
+    out, work = np.empty(vals.size), np.empty(2 * tp.shape[1] * sv.size)
+    for a, box in enumerate(tp):
+        # ub(x), the minimum over the strided sources, is attained and so an
+        # upper bound. Box a skips box b when min_b f + L dist(a, b) > max_a
+        # ub. For x in a and y in b, |x_i - y_i| is at least the gap between
+        # the boxes on axis i and rounding is monotone, so the evaluated
+        # f(y) + L|x - y| is at least the evaluated bound; past the slack it
+        # exceeds ub(x), a value from a kept box, so no skipped pair is a
+        # minimum and the minimum over the kept pairs is the full one, bit
+        # for bit.
+        ubmax = _cone_min(box, src, sv, L, work).max() if sv.size else np.inf
+        gap = np.maximum(0.0, np.maximum(lo - hi[a], lo[a] - hi))
+        sq = gap[:, 0] ** 2
+        for i in range(1, gap.shape[1]):
+            sq += gap[:, i] ** 2
+        reach = L * np.sqrt(sq)
+        slack = 1e-12 * (np.abs(vmin) + reach + np.abs(ubmax))
+        kept = np.flatnonzero(np.isfinite(vmin) & (vmin + reach <= ubmax + slack))
+        if work.size < 2 * tp.shape[1] ** 2 * kept.size:
+            work = np.empty(2 * tp.shape[1] ** 2 * kept.size)
+        out[cells[a]] = _cone_min(box, tp[kept].reshape(-1, box.shape[1]), tv[kept].ravel(),
+                                  L, work)
     return ExtGridFn(f.domain, out.reshape(f.domain.shape))
 
 

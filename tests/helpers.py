@@ -182,3 +182,23 @@ def peak_floats(call):
         return tracemalloc.get_traced_memory()[1] / 8
     finally:
         tracemalloc.stop()
+
+
+def direct_separable_max(vals, axes, dual_axes, block=1 << 21):
+    """The separable maximum of convex._separable_max as a direct maximum
+    over every (cell, dual point) pair of each axis pass, blocked so that
+    no temporary exceeds about `block` floats: the same per-term arithmetic
+    fl(fl(y x) + p), so equal results are equal bits."""
+    for a, (xa, ya) in enumerate(zip(axes, dual_axes)):
+        lines = np.moveaxis(vals, a, -1)
+        flat = lines.reshape(-1, xa.size)
+        step = max(1, block // (2 * xa.size))  # dual points per block
+        cols = []
+        for k in range(0, ya.size, step):
+            pair = np.multiply.outer(ya[k:k + step], xa)
+            rows = max(1, block // (2 * pair.size))
+            cols.append(np.concatenate([(flat[i:i + rows, None, :] + pair).max(axis=2)
+                                        for i in range(0, flat.shape[0], rows)]))
+        out = np.concatenate(cols, axis=1)
+        vals = np.moveaxis(out.reshape(lines.shape[:-1] + (ya.size,)), -1, a)
+    return vals

@@ -68,6 +68,24 @@ def test_transform_reg_affine_identity_bytes(tmp_path, capsys):
     assert json.load(open(fin))["values"] == json.load(open(fout))["values"]
 
 
+@pytest.mark.parametrize("shape, grid", [([5, 5, 5], "-1,-1:1,1:5,5"),   # 2D grid, 3D input
+                                         ([9, 9], "-1:1:5")])            # 1D grid, 2D input
+def test_transform_legendre_dual_grid_of_another_dimension_exits_3(tmp_path, shape, grid):
+    """The dimension is checked before the slope coverage: no broadcast
+    error, no coverage warning, no output file."""
+    n = len(shape)
+    write_grid(tmp_path / "f.json", GridDomain([-2.0] * n, [2.0] * n, shape),
+               lambda p: np.sum(p**2, axis=1))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epival.__file__)))
+    run = subprocess.run([sys.executable, "-m", "epival.cli", "transform", "--op", "legendre",
+                          "--in", "f.json", "--out", "fstar.json", f"--grid={grid}"],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stderr == "error: dual domain dimension mismatch\n"
+    assert not (tmp_path / "fstar.json").exists()
+
+
 def test_transform_missing_input_exit2(tmp_path, capsys):
     fout = tmp_path / "out.json"
     rc = main(["transform", "--op", "legendre", "--in",

@@ -30,7 +30,8 @@ from epival import (
     restrict,
     slope_range,
 )
-from epival.convex import _BLOCK, _beyond_windows, _convex_rows
+from epival import convex
+from epival.convex import _BLOCK, _beyond_windows, _convex_rows, _separable_max
 from epival.grids import _window_cells
 
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
     brute_convex_envelope_1d,
     brute_inf_convolution,
     brute_lsc_extend,
+    direct_separable_max,
     grid1d,
     grid2d,
     peak_floats,
@@ -277,6 +279,121 @@ def test_conjugate_of_an_affine_shift_is_the_shifted_conjugate(seed, data):
     assert np.max(np.abs(gstar.values - (fstar.values - c))) <= 1e-13 * scale
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_order_reversal_on_a_shared_dual_grid(seed, data):
+    """f <= g in every cell gives f* >= g* exactly: each term of g* is at
+    most the matching term of f*, and rounding is monotone."""
+    f = _random_grid_fn(data, seed)
+    rng = np.random.default_rng(seed + 1)
+    g = f.values + data.draw(st.floats(0.0, 5.0)) * rng.uniform(0.0, 1.0, f.domain.shape)
+    if data.draw(st.booleans()):
+        g = np.where(rng.uniform(size=g.shape) < 0.3, np.inf, g)
+    assume(np.any(np.isfinite(g)))
+    dual = default_dual_domain(f)
+    with warnings.catch_warnings():  # the order holds on any dual grid
+        warnings.simplefilter("ignore")
+        gstar = legendre(ExtGridFn(f.domain, g), dual)
+    assert np.all(legendre(f, dual).values >= gstar.values)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_biconjugate_is_dominated_by_f(seed, data):
+    """f** <= f at finite cells: the second conjugate passes f by rounding
+    only, and the clamped biconjugate not at all."""
+    f = _random_grid_fn(data, seed)
+    fstar = legendre(f)
+    fin = f.finite_mask
+    raw = legendre(fstar, f.domain).values[fin]
+    reach = np.max(np.abs(f.domain.points())) * np.max(np.abs(fstar.domain.points()))
+    scale = 1.0 + np.max(np.abs(f.values[fin])) + np.max(np.abs(fstar.values)) + reach
+    assert np.all(raw <= f.values[fin] + 1e-13 * scale)
+    assert np.all(biconjugate(f).values[fin] <= f.values[fin])
+
+
+def _separable_max_input(data):
+    """(vals, axes, dual_axes) on random 1-3D grids of their own shapes:
+    non-concave, constant, affine or integer-step lines, sometimes on a
+    tiny spacing, with -inf cells or whole -inf lines, and dual ranges from
+    far narrower to far wider than the slopes. Half the draws are lines
+    near 1e14 on 40 or more points, where one term's rounding passes a dual
+    step times a primal step and the bisection windows widen."""
+    hazard = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 2 if hazard else 3))
+    low, top = (40, {1: 300, 2: 40}[n]) if hazard else (3, {1: 200, 2: 30, 3: 10}[n])
+    shape = [data.draw(st.integers(low, top)) for _ in range(n)]
+    dual_shape = [data.draw(st.integers(low, top)) for _ in range(n)]
+    lo = np.array([data.draw(st.floats(-3.0, -0.1)) for _ in range(n)])
+    tiny = data.draw(st.booleans())
+    width = [data.draw(st.floats(1e-7, 1e-4) if tiny else st.floats(0.2, 6.0)) for _ in range(n)]
+    d = GridDomain(lo, lo + np.array(width), shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = d.points()
+    kind = data.draw(st.sampled_from(["noise", "constant", "affine", "concave", "steps"]))
+    vals = {"noise": lambda: rng.normal(size=d.size),
+            "constant": lambda: np.full(d.size, rng.normal()),
+            "affine": lambda: pts @ rng.normal(size=n) + rng.normal(),
+            "concave": lambda: -np.sum((pts - pts.mean(axis=0))**2, axis=1),
+            "steps": lambda: rng.integers(-2, 3, d.size).astype(float)}[kind]()
+    vals = vals * data.draw(st.floats(0.0, 1.0 if hazard else 10.0)) + (1e14 if hazard else 0.0)
+    vals = vals.reshape(shape)
+    sentinel = data.draw(st.sampled_from(["none", "cells", "lines"]))
+    if sentinel == "cells":
+        vals[rng.uniform(size=shape) < data.draw(st.floats(0.1, 0.9))] = -np.inf
+    elif sentinel == "lines":  # a whole hyperplane, so whole lines on the other axes
+        vals[(slice(None),) * (n - 1) + (int(rng.integers(shape[-1])),)] = -np.inf
+    centre = [data.draw(st.floats(-5.0, 5.0)) for _ in range(n)]
+    half = [10.0 ** data.draw(st.floats(-1.0, 1.0) if hazard else st.floats(-3.0, 3.0))
+            for _ in range(n)]
+    dual = GridDomain(np.subtract(centre, half), np.add(centre, half), dual_shape)
+    return vals, d.axes(), dual.axes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_separable_max_is_the_direct_maximum_bit_for_bit(data):
+    vals, axes, dual_axes = _separable_max_input(data)
+    assert np.array_equal(_separable_max(vals, axes, dual_axes),
+                          direct_separable_max(vals, axes, dual_axes))
+
+
+def test_separable_max_widens_windows_where_rounding_demands():
+    """Lines near 1e14 on [-1, 1]: one term's rounding bound D (about 0.03)
+    times 8 exceeds a dual step times a primal step, so the bisection
+    windows widen by whole cells, and the maximum is still the direct one
+    to the bit. Without the widening some of these lines come out wrong."""
+    x = GridDomain([-1.0], [1.0], [165]).axes()
+    y = GridDomain([-5.0], [5.0], [251]).axes()
+    rng = np.random.default_rng(3)
+    for noise in (0.0, 0.01, 1.0) * 4:
+        v = 1e14 + noise * rng.normal(size=165)
+        d8 = 8 * 2.0**-53 * (2 * 5.0 * 1.0 + np.max(np.abs(v)))
+        assert d8 >= np.min(np.diff(y[0])) * np.min(np.diff(x[0]))  # a margin of >= 1 cell
+        assert np.array_equal(_separable_max(v, x, y), direct_separable_max(v, x, y))
+
+
+def test_conjugates_are_the_direct_ones_at_the_benchmark_shapes(monkeypatch):
+    """legendre on 2049 points with +inf tails, 129^2 and 17^3, and the
+    reconstruction on 65^2, against the same calls on the direct maximum."""
+    rng = np.random.default_rng(3)
+    d1 = GridDomain([-3.0], [3.0], [2049])
+    x = d1.points().ravel()
+    f1 = ExtGridFn(d1, np.where((x < -2.5) | (x > 2.3), np.inf, random_convex_fn(d1, rng).values))
+    f2 = random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [129, 129]), rng)
+    f3 = random_convex_fn(GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3), rng)
+    h = random_convex_fn(GridDomain([-3.5] * 2, [3.5] * 2, [65, 65]), rng)
+
+    def outputs():
+        return [legendre(f1), legendre(f2), legendre(f3), reconstruct_from_conjugate(h, 1.0)]
+
+    got = outputs()
+    monkeypatch.setattr(convex, "_separable_max", direct_separable_max)
+    for g, w in zip(got, outputs()):
+        assert g.domain.same_as(w.domain)
+        assert np.array_equal(g.values, w.values)
+
+
 def test_legendre_with_inf_tails_is_warning_free():
     d = grid1d(n=65)
     x = d.points().ravel()
@@ -376,6 +493,14 @@ def test_reg_matches_brute_inf_convolution_with_inf_cells(shape):
     reg = lipschitz_regularize(f, 0.5)
     want = brute_inf_convolution(f, 2.0).values
     assert np.max(np.abs(reg.values - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)])
+def test_reg_is_the_direct_minimum_at_the_benchmark_shapes(shape):
+    d = GridDomain([-2.0] * len(shape), [2.0] * len(shape), list(shape))
+    f = random_convex_fn(d, np.random.default_rng(3))
+    assert np.array_equal(lipschitz_regularize(f, 0.5).values,
+                          brute_inf_convolution(f, 2.0).values)
 
 
 @pytest.mark.filterwarnings("error")
@@ -775,3 +900,18 @@ def test_conjugate_kernels_allocate_at_most_two_and_a_half_blocks():
     for call in (lambda: legendre(f1), lambda: lipschitz_regularize(f2, 0.5),
                  lambda: reconstruct_from_conjugate(f3, 1.0)):
         assert peak_floats(call) <= 2.5 * _BLOCK
+
+
+def test_conjugate_kernels_take_memory_linear_in_the_grids():
+    """At most 24 floats per grid and dual-grid point (measured: 20.6 for
+    the 1D transform, whose first block of dual points is the largest part;
+    12.7 on 129^2; 19.8 for both regularizations, whose largest part is the
+    buffer of one box against its kept cells)."""
+    rng = np.random.default_rng(7)
+    reg = lambda f: lipschitz_regularize(f, 0.5)  # noqa: E731
+    for f, call in [(random_convex_fn(GridDomain([-3.0], [3.0], [4097]), rng), legendre),
+                    (random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [129, 129]), rng), legendre),
+                    (random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [65, 65]), rng), reg),
+                    (random_convex_fn(GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3), rng), reg)]:
+        size = f.domain.size + default_dual_domain(f).size
+        assert peak_floats(lambda: call(f)) <= 24 * size
