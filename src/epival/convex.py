@@ -58,24 +58,23 @@ def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
     return bool(_convex_rows(f.values[None], tol)[0])
 
 
-def _convex_rows(stack, tol=1e-9, outside=None):
+def _convex_rows(stack, tol=1e-9, top=0.0):
     """is_discretely_convex for each row of a (B, *grid) value stack, each
     row against its own scale. A stack with no +inf cell skips the masking
     and the scan-line test, which then hold trivially.
 
-    With outside = (top, low), both (B,), each row is a window of a larger
-    function whose largest |value| beyond the window is top and whose
-    smallest second difference centred there is low (_beyond_windows): the
-    scale is the whole function's, and low must clear the threshold too.
+    With top > 0, each row is a window of a larger function whose largest
+    |value| beyond the window is at most top, and whose second differences
+    centred beyond the window the caller knows to pass: the scale is the
+    larger of top and the row's own.
     """
     rows, ndim = stack.shape[0], stack.ndim - 1
     axes = tuple(range(1, ndim + 1))
     fin = np.isfinite(stack)
     finite = bool(fin.all())
     vals = stack if finite else np.where(fin, stack, 0.0)
-    top, low = (-np.inf, np.inf) if outside is None else outside
     thr = -tol * (1.0 + np.maximum(np.max(np.abs(vals), axis=axes), top))
-    ok = low >= thr
+    ok = np.ones(rows, dtype=bool)
     for d in _directions(ndim):
         vm, vc, vp = _shifted_views(vals, (0,) + d)
         second = np.multiply(vc, -2.0)  # (vm - 2 vc) + vp, in one temporary
@@ -97,43 +96,6 @@ def _convex_rows(stack, tol=1e-9, outside=None):
         last = m2.shape[2] - 1 - np.argmax(m2[..., ::-1], axis=2)
         ok &= np.all((count == 0) | (last - first + 1 == count), axis=1)
     return ok
-
-
-def _beyond(arr, lo, hi, op, empty):
-    """op (np.maximum or np.minimum) reduced over the cells of arr outside
-    each box [lo, hi) of (P, n) corners; `empty` where no cell is outside."""
-    out = np.full(lo.shape[0], empty)
-    for a in range(arr.ndim):
-        line = op.reduce(np.moveaxis(arr, a, 0).reshape(arr.shape[a], -1), axis=1)
-        below = np.r_[empty, op.accumulate(line)]              # over lines < i
-        above = np.r_[op.accumulate(line[::-1])[::-1], empty]  # over lines >= i
-        out = op(out, op(below[lo[:, a]], above[hi[:, a]]))
-    return out
-
-
-def _beyond_windows(vals, cells):
-    """(top, low) of _convex_rows for windows of functions equal to the
-    finite grid values `vals` except at cells two or more cells inside every
-    window edge that is not a grid edge; cells (P, *W) holds the windows'
-    flat grid indices.
-
-    Both are taken beyond the window less those edges: the largest |vals|
-    there (with the window's own maximum, the whole function's: the edges
-    hold vals), and the smallest second difference of vals centred there (a
-    centre in the rest has its whole stencil in the window).
-    """
-    shape, window = np.array(vals.shape), np.array(cells.shape[1:])
-    starts = np.stack(np.unravel_index(cells.reshape(len(cells), -1)[:, 0], vals.shape),
-                      axis=1)
-    lo = np.where(starts > 0, starts + 1, 0)
-    hi = np.where(starts + window < shape, starts + window - 1, shape)
-    second = np.full(vals.shape, np.inf)
-    for d in _directions(vals.ndim):
-        vm, vc, vp = _shifted_views(vals, d)
-        centre = _shifted_views(second, d)[1]
-        np.minimum(centre, vm - 2.0 * vc + vp, out=centre)
-    return (_beyond(np.abs(vals), lo, hi, np.maximum, -np.inf),
-            _beyond(second, lo, hi, np.minimum, np.inf))
 
 
 def lipschitz_bound(f: ExtGridFn) -> float:
@@ -370,10 +332,11 @@ def _cone_min(tgt, src, vals, L, work):
 
 
 def _tiles(shape):
-    """(tiles, cells) flat grid indices of about 256 boxes of cells; boxes at
-    the far end are padded by repeating their last cell, which changes no
-    minimum."""
-    per_axis = int(np.ceil(256 ** (1 / len(shape))))
+    """(tiles, cells) flat grid indices of about 256 boxes of cells, or 32 on
+    a line, where 256 boxes would hold a few cells each and the per-box numpy
+    calls would cost more than the pairs they skip; boxes at the far end are
+    padded by repeating their last cell, which changes no minimum."""
+    per_axis = 32 if len(shape) == 1 else int(np.ceil(256 ** (1 / len(shape))))
     flat = np.zeros((), dtype=int)
     for n in shape:
         side = -(-n // per_axis)

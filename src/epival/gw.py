@@ -10,11 +10,10 @@ the step. Many probes are evaluated at once: their corners form one stack.
 
 A corner differs from the base only where its tests do not vanish, so a
 support scan evaluates each probe on a window of O(probe support) cells:
-the convexity check takes the base's scale and second differences beyond
-the window, which keeps every outcome the whole grid's, and the valuation is
-taken in its window form, whose terms beyond the window cancel in the mixed
-difference. gw_report is the same computation with the whole grid as its
-one window.
+the convexity check takes the base's largest |value| into its scale, which
+keeps every outcome the whole grid's, and the valuation is taken in its
+window form, whose terms beyond the window cancel in the mixed difference.
+gw_report is the same computation with the whole grid as its one window.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,7 @@ from math import comb, factorial, inf, prod
 
 import numpy as np
 
-from .convex import (_beyond_windows, _by_rows, _convex_rows, _extend, _test_function,
-                     is_discretely_convex)
+from .convex import _by_rows, _convex_rows, _extend, _test_function, is_discretely_convex
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate, _window_cells
 from .sampling import random_convex_fn
@@ -163,9 +161,12 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     layers of a window's cells, except where it meets the grid's edge.
 
     Corners differ from the base only inside the window, so a probe is
-    evaluated there: its convexity check takes the base's scale and second
-    differences beyond the window (the outcome is the whole-grid check's),
-    and its mixed difference is the one of the window form mu_W, where the
+    evaluated there. Its convexity check has the whole-grid check's outcome:
+    only support_scan passes windows, with the base |x|^2 >= 0 and bumps >= 0
+    at positive steps, so a corner is at least the base, its largest |value|
+    is the larger of its window's and max |base|, and its second differences
+    beyond the window are the base's, which passed at the base's own smaller
+    scale. Its mixed difference is the one of the window form mu_W, where the
     terms beyond the window cancel. The noise floor scales with mu itself,
     mu_W + mu(base) - mu_W(base) at a corner. A window that is the whole
     grid is the whole-grid computation.
@@ -179,9 +180,9 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     plan = _corner_plan(mults)
     window = cells.shape[1:]
     base_win = base_vals.ravel()[cells]
-    outside, mu_w = None, np.full(len(cells), base_value)
+    top, mu_w = 0.0, np.full(len(cells), base_value)
     if window != dom.shape:
-        outside = _beyond_windows(base_vals, cells)
+        top = np.max(np.abs(base_vals))
         mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
     # mu = mu_W + offset at every corner: the noise floor scales with mu,
     # whose rounding in the stencils the window terms alone understate
@@ -193,9 +194,7 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
         h = steps[todo]
         stack = _corners(base_win[todo], phis[todo], plan, np.stack([h, h / 2.0], axis=1))
         rows = stack.reshape((-1,) + window)
-        beyond = None if outside is None else \
-            tuple(np.repeat(o[todo], rows.shape[0] // todo.size) for o in outside)
-        ok = _convex_rows(rows, outside=beyond).reshape(todo.size, -1).all(axis=1)
+        ok = _convex_rows(rows, top=top).reshape(todo.size, -1).all(axis=1)
         if np.any(ok):
             sel = stack if np.all(ok) else stack[ok]
             vals = _evaluate_windows(spec, dom, sel.reshape((sel.shape[0], -1) + window),
@@ -226,7 +225,7 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     k = query.order
     stack, c2s = zip(*(_test_function(phi, dom) for phi in query.tests))
     h = query.step if query.step is not None else _auto_step(k, c2s)
-    if h <= 0:
+    if not h > 0:  # NaN included
         raise ValueError("step must be positive")
     base_vals, base_value = _base(spec, dom, query.base)
     distinct, mults = _multiset(stack)
@@ -292,6 +291,8 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         raise ValueError("k must be nonnegative")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if step is not None and not step > 0:
+        raise ValueError("step must be positive")
     if k == 0:
         mask = ScanMask(dom, np.zeros(dom.shape, dtype=bool))
         return (mask, np.zeros(dom.shape)) if return_responses else mask

@@ -1,10 +1,38 @@
 """Shared builders and independent oracles for the test suite."""
 
+import os
 import tracemalloc
 
 import numpy as np
 
+import epival
 from epival import ExtGridFn, GridDomain
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(epival.__file__)))
+
+# prints the thread count of every OpenBLAS the process has loaded, read
+# through its own getter, as perfbench/run.py records it
+BLAS_THREADS = r"""
+import ctypes
+threads = []
+for path in sorted({l.split()[-1] for l in open("/proc/self/maps") if "openblas" in l}):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            threads.append(getattr(lib, sym)())
+            break
+print(threads)
+"""
+
+
+def child_env(**extra):
+    """os.environ for a child that imports epival from this checkout, with
+    no thread-count variable of its own (an in-process main() sets one), and
+    with `extra` added."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    return dict(env, PYTHONPATH=SRC, **extra)
 
 
 def grid1d(lo=-2.0, hi=2.0, n=65):

@@ -23,7 +23,7 @@ from epival.serialize import (
     save_polytope,
 )
 
-from helpers import reference_grid_json, sample
+from helpers import BLAS_THREADS, child_env, reference_grid_json, sample
 
 
 @pytest.fixture
@@ -446,7 +446,44 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
-GRID_1D = {"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
+def _blas_threads(env):
+    """OpenBLAS thread counts of a child that has imported epival.cli."""
+    out = subprocess.run([sys.executable, "-c", "import epival.cli\n" + BLAS_THREADS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    threads = ast.literal_eval(out.strip())
+    if not threads:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    return threads
+
+
+def test_cli_import_starts_openblas_with_one_thread():
+    assert _blas_threads(child_env()) == [1]
+
+
+@pytest.mark.skipif(os.cpu_count() < 2, reason="OpenBLAS caps its pool at the core count")
+def test_cli_keeps_a_thread_count_set_in_the_environment():
+    assert _blas_threads(child_env(OPENBLAS_NUM_THREADS="2")) == [2]
+
+
+@pytest.mark.parametrize("command", ["embed", "seminorm"])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    """embed reads the support function through a matmul; this seminorm's
+    pairing nodes lie outside the source box, so it builds the qhull lower
+    hull and takes _pairing_max's matmuls."""
+    dump_json_atomic({"kind": "pairing", "nodes": [[1.8], [0.2], [1.0]],
+                      "weights": [1.0, 1.0, -2.0]}, tmp_path / "mu.json")
+    save_polytope(Polytope([[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]]), tmp_path / "K.json")
+    argv = {"embed": ["embed", "--spec", "mu.json", "--polytope", "K.json", "--grid=-2:2:129"],
+            "seminorm": ["seminorm", "--spec", "mu.json", "--A-lo=-1.2", "--A-hi", "1.2",
+                         "--s", "0.2", "--samples", "6", "--grid=-2:2:81"]}[command]
+    outs = [subprocess.run([sys.executable, "-m", "epival.cli", *argv], cwd=tmp_path,
+                           env=child_env(OPENBLAS_NUM_THREADS=t), capture_output=True,
+                           check=True).stdout for t in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["command"] == command
+
+
+GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
            "values": [1.0, 0.25, 0.0, 0.25, 1.0]}
 
 

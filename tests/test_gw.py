@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +394,20 @@ def test_scan_refuses_a_negative_tol():
     # a negative tol would mark every cell, zero responses included
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         support_scan(mu1(), 1, 0.3, tol=-1.0, domain=GridDomain([-2.0], [2.0], [65]))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, float("nan")])
+def test_scan_and_gw_refuse_a_step_that_is_not_positive(step):
+    # refused before any work: a zero step would divide by zero, a NaN one
+    # would mark no cell, and the window convexity check holds only for
+    # probes added at positive steps
+    d = GridDomain([-2.0], [2.0], [65])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step must be positive"):
+            support_scan(mu1(), 1, 0.3, domain=d, step=step)
+        with pytest.raises(ValueError, match="step must be positive"):
+            gw_report(mu1(), GWQuery(1, [Bump([0.0], 0.5, 1.0)], step=step), d)
 
 
 def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():

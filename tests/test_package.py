@@ -1,0 +1,45 @@
+import subprocess
+import sys
+
+import pytest
+
+import epival
+
+from helpers import child_env
+
+
+def test_star_import_binds_every_public_name():
+    ns = {}
+    exec("from epival import *", ns)
+    assert set(epival.__all__) <= set(ns)
+    assert ns["legendre"] is sys.modules["epival.convex"].legendre
+    assert ns["GridDomain"] is sys.modules["epival.grids"].GridDomain
+
+
+def test_dir_lists_every_public_name():
+    names = dir(epival)
+    assert set(epival.__all__) <= set(names)
+    assert "__version__" in names
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        epival.no_such_name
+    assert not hasattr(epival, "sys")
+
+
+def test_submodules_import_as_before():
+    from epival import convex
+    assert convex is sys.modules["epival.convex"]
+    assert epival.gw is sys.modules["epival.gw"]
+
+
+def test_import_has_no_side_effects():
+    """A bare `import epival` touches no environment variable and loads no
+    numpy; a submodule reached as an attribute is imported on demand."""
+    code = ("import os, sys\nbefore = dict(os.environ)\nimport epival\n"
+            "print(dict(os.environ) == before, 'numpy' in sys.modules)\n"
+            "print(epival.gw.__name__, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["True False", "epival.gw True"]
