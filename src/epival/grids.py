@@ -176,16 +176,17 @@ def _interpolation_corners(domain: GridDomain, pts):
     return idx, w
 
 
-def _interpolate_rows(stack, idx, w):
-    """Interpolated values (B, M) of each row of a (B, N) value stack, from
-    _interpolation_corners; raises ValueError when a weighted corner is +inf."""
-    vals = stack[:, idx]
+def _interpolate_rows(vals, w):
+    """Interpolated values (..., M) from the gathered corner values
+    (..., M, 2^n) of _interpolation_corners and weights that broadcast to
+    them; a corner of weight 0 is not read, and ValueError is raised when a
+    weighted corner is +inf."""
     if np.any((w > 0) & ~np.isfinite(vals)):
         raise ValueError("interpolation touches a +inf cell")
     terms = np.where(w > 0, w * np.where(np.isfinite(vals), vals, 0.0), 0.0)
-    out = np.zeros(terms.shape[:2])
-    for corner in range(terms.shape[2]):
-        out = out + terms[:, :, corner]
+    out = np.zeros(terms.shape[:-1])
+    for corner in range(terms.shape[-1]):
+        out = out + terms[..., corner]
     return out
 
 
@@ -228,7 +229,7 @@ def interpolate(f: ExtGridFn, pts):
     surrounding cell corner is +inf.
     """
     idx, w = _interpolation_corners(f.domain, pts)
-    return _interpolate_rows(f.values.reshape(1, -1), idx, w)[0]
+    return _interpolate_rows(f.values.ravel()[idx], w)
 
 
 @dataclass(frozen=True, eq=False)

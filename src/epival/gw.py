@@ -13,7 +13,8 @@ support scan evaluates each probe on a window of O(probe support) cells:
 the convexity check takes the base's largest |value| into its scale, which
 keeps every outcome the whole grid's, and the valuation is taken in its
 window form, whose terms beyond the window cancel in the mixed difference.
-gw_report is the same computation with the whole grid as its one window.
+gw_report is the same computation with the whole grid as its one window,
+on which the window form is the valuation itself.
 """
 
 from dataclasses import dataclass
@@ -168,8 +169,8 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     beyond the window are the base's, which passed at the base's own smaller
     scale. Its mixed difference is the one of the window form mu_W, where the
     terms beyond the window cancel. The noise floor scales with mu itself,
-    mu_W + mu(base) - mu_W(base) at a corner. A window that is the whole
-    grid is the whole-grid computation.
+    mu_W + mu(base) - mu_W(base) at a corner. On a window that is the whole
+    grid mu_W is mu, and the convexity check takes no outside scale.
 
     Each probe starts at step h; a probe whose corners at h or h/2 fail the
     convexity check halves its own step and is tried again. Returns a
@@ -180,10 +181,8 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     plan = _corner_plan(mults)
     window = cells.shape[1:]
     base_win = base_vals.ravel()[cells]
-    top, mu_w = 0.0, np.full(len(cells), base_value)
-    if window != dom.shape:
-        top = np.max(np.abs(base_vals))
-        mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
+    top = np.max(np.abs(base_vals)) if window != dom.shape else 0.0
+    mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
     # mu = mu_W + offset at every corner: the noise floor scales with mu,
     # whose rounding in the stencils the window terms alone understate
     offset = base_value - mu_w

@@ -58,7 +58,7 @@ class HessianDensity:
 
     The weight must vanish on a margin of at least two cells so every
     central-difference stencil stays interior. Auxiliary matrices are
-    constant symmetric matrices or per-cell fields of shape grid + (n, n).
+    constant symmetric matrices or per-cell fields of shape weight grid + (n, n).
     """
 
     order: int
@@ -79,8 +79,8 @@ class HessianDensity:
         if len(aux) != n - order:
             raise ValueError("need exactly dim - order auxiliary matrices")
         for a in aux:
-            if a.shape[-2:] != (n, n):
-                raise ValueError("auxiliary matrices must be n x n")
+            if a.shape not in ((n, n), weight.domain.shape + (n, n)):
+                raise ValueError("auxiliary matrices must be n x n, or one per weight grid cell")
             if not np.allclose(a, np.swapaxes(a, -1, -2)):
                 raise ValueError("auxiliary matrices must be symmetric")
             a.setflags(write=False)
@@ -140,124 +140,107 @@ def mixed_determinant(*mats):
     return total / factorial(n)
 
 
-def _evaluate_stack(spec, domain: GridDomain, stack):
-    """Values (B,) of the valuation at each row of a (B, *grid) value stack.
-
-    Every reduction runs within a row, so a row's value does not depend on
-    the other rows in the stack.
-    """
-    if callable(spec):
-        return np.array([float(spec(ExtGridFn(domain, row))) for row in stack])
-    if isinstance(spec, Constant):
-        return np.full(stack.shape[0], float(spec.value))
-    if isinstance(spec, PairingMeasure):
-        idx, w = _interpolation_corners(domain, spec.nodes)
-        vals = _interpolate_rows(stack.reshape(stack.shape[0], -1), idx, w)
-        return np.sum(vals * spec.weights, axis=1)
-    if isinstance(spec, HessianDensity):
-        if not domain.same_as(spec.weight.domain):
-            raise ValueError("probe function domain differs from the weight domain")
-        supp = np.argwhere(spec.weight.values != 0.0)
-        if supp.size == 0:
-            return np.zeros(stack.shape[0])
-        H = central_hessian_at(stack, domain.spacing, supp)
-        mats = [H] * spec.order
-        for a in spec.aux:
-            mats.append(a if a.ndim == 2 else a[tuple(supp.T)])
-        D = mixed_determinant(*mats)
-        w = spec.weight.values[tuple(supp.T)]
-        return np.sum(w * D, axis=-1) * np.prod(domain.spacing)
+def _leaves(spec, coef=1.0):
+    """(coefficient, spec) of every term of the spec that is no composite,
+    depth first: a composite's coefficients multiply into its terms'."""
     if isinstance(spec, Composite):
-        total = np.zeros(stack.shape[0])
-        for c, s in spec.terms:
-            total = total + c * _evaluate_stack(s, domain, stack)
-        return total
-    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+        return [leaf for c, s in spec.terms for leaf in _leaves(s, coef * c)]
+    return [(coef, spec)]
+
+
+def _evaluate_stack(spec, domain: GridDomain, stack):
+    """Values (B,) of the valuation at each row of a (B, *grid) value stack:
+    the window form on one window, the whole grid."""
+    cells = np.arange(domain.size).reshape((1,) + domain.shape)
+    return _evaluate_windows(spec, domain, stack[None], cells)[0]
 
 
 def _local(spec):
     """Whether the spec is a sum of cell terms, which _evaluate_windows can
-    take on part of the grid: anything but a callable, or a composite with one."""
-    if isinstance(spec, Composite):
-        return all(_local(s) for _, s in spec.terms)
-    return not callable(spec)
+    take on part of the grid: whether no term is a callable."""
+    return not any(callable(s) for _, s in _leaves(spec))
 
 
 def _evaluate_windows(spec, domain: GridDomain, stack, cells):
     """Values (P, R) of the window form mu_W of the valuation at R rows on
-    each of P windows: stack is (P, R, *W), cells (P, *W) the windows' flat
-    grid indices.
+    each of P windows: stack is (P, R, *W), cells (P, *W) the windows'
+    boxes of flat grid indices. A callable takes whole rows, so its window
+    must be the whole grid.
 
     mu_W sums the terms whose stencil lies in the window: a Hessian
     density's cells of supp(w) one cell inside the window's edges (aux
-    taken at the same cells), a pairing's cell weights g on the window
-    (node weights spread by their interpolation weights, mu(f) = <g, f>), a
-    constant's value, a composite's terms. Functions that agree outside a
-    window's inner cells have the same mu - mu_W. A window that is the whole
-    grid is evaluated by _evaluate_stack, as a callable must be.
+    taken at the same cells), a pairing's node corners in the window (a
+    corner beyond it gets weight 0), a constant's value, a composite's
+    terms. Functions that agree except on cells at least two cells inside
+    a window's edges, or on the grid's edge, have the same mu - mu_W. On
+    the whole grid mu_W is mu. Every reduction runs within a row, so a
+    row's value does not depend on the other rows in the stack.
     """
     P, R, window = stack.shape[0], stack.shape[1], stack.shape[2:]
-    if window == domain.shape:
-        return _evaluate_stack(spec, domain, stack.reshape((-1,) + window)).reshape(P, R)
-    if isinstance(spec, Constant):
-        return np.full((P, R), float(spec.value))
-    if isinstance(spec, PairingMeasure):
-        idx, w = _interpolation_corners(domain, spec.nodes)
-        g = np.zeros(domain.size)
-        np.add.at(g, idx, w * spec.weights[:, None])
-        return np.sum(stack * g[cells][:, None], axis=tuple(range(2, stack.ndim)))
-    if isinstance(spec, HessianDensity):
-        if not domain.same_as(spec.weight.domain):
-            raise ValueError("probe function domain differs from the weight domain")
-        n = domain.ndim
-        inner = cells[(slice(None),) + (slice(1, -1),) * n]
-        w = spec.weight.values.ravel()[inner]
-        at = np.nonzero(w)  # probe, then the cell's inner index on each axis
-        out = np.zeros((R, P))
-        if at[0].size:
-            # the windows side by side along the first axis are one grid,
-            # on which a stencil at an inner cell stays in its window
-            grid = np.moveaxis(stack, 1, 0).reshape((R, P * window[0]) + window[1:])
-            idx = np.stack(at[1:], axis=1) + 1
-            idx[:, 0] += at[0] * window[0]
-            H = central_hessian_at(grid, domain.spacing, idx)
-            mats = [H] * spec.order
-            for a in spec.aux:
-                mats.append(a if a.ndim == 2 else a.reshape(-1, n, n)[inner[at]])
-            terms = w[at] * mixed_determinant(*mats)
-            first = np.flatnonzero(np.r_[True, at[0][1:] != at[0][:-1]])
-            out[:, at[0][first]] = np.add.reduceat(terms, first, axis=1)
-        return out.T * np.prod(domain.spacing)
-    if isinstance(spec, Composite):
-        total = np.zeros((P, R))
-        for c, s in spec.terms:
-            total = total + c * _evaluate_windows(s, domain, stack, cells)
-        return total
-    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+    total = np.zeros((P, R))
+    for coef, s in _leaves(spec):
+        if callable(s):
+            v = np.array([float(s(ExtGridFn(domain, row)))
+                          for row in stack.reshape((-1,) + window)]).reshape(P, R)
+        elif isinstance(s, Constant):
+            v = float(s.value)
+        elif isinstance(s, PairingMeasure):
+            idx, w = _interpolation_corners(domain, s.nodes)
+            first = np.unravel_index(cells.reshape(P, -1)[:, 0], domain.shape)
+            at = tuple(c - f[:, None, None] for c, f in
+                       zip(np.unravel_index(idx, domain.shape), first))  # (P, M, 2^n) each
+            inside = np.all([(0 <= a) & (a < m) for a, m in zip(at, window)], axis=0)
+            flat = np.ravel_multi_index(at, window, mode="clip").reshape(P, 1, -1)
+            vals = np.take_along_axis(stack.reshape(P, R, -1), flat, axis=2)
+            vals = _interpolate_rows(vals.reshape((P, R) + idx.shape),
+                                     np.where(inside, w, 0.0)[:, None])
+            v = np.sum(vals * s.weights, axis=-1)
+        elif isinstance(s, HessianDensity):
+            if not domain.same_as(s.weight.domain):
+                raise ValueError("probe function domain differs from the weight domain")
+            n = domain.ndim
+            inner = cells[(slice(None),) + (slice(1, -1),) * n]
+            w = s.weight.values.ravel()[inner]
+            at = np.nonzero(w)  # probe, then the cell's inner index on each axis
+            v = np.zeros((R, P))
+            if at[0].size:
+                # the windows side by side along the first axis are one grid,
+                # on which a stencil at an inner cell stays in its window
+                grid = np.moveaxis(stack, 1, 0).reshape((R, P * window[0]) + window[1:])
+                idx = np.stack(at[1:], axis=1) + 1
+                idx[:, 0] += at[0] * window[0]
+                H = central_hessian_at(grid, domain.spacing, idx)
+                mats = [H] * s.order
+                for a in s.aux:
+                    mats.append(a if a.ndim == 2 else a.reshape(-1, n, n)[inner[at]])
+                terms = w[at] * mixed_determinant(*mats)
+                first = np.flatnonzero(np.r_[True, at[0][1:] != at[0][:-1]])
+                v[:, at[0][first]] = np.add.reduceat(terms, first, axis=1)
+            v = v.T * np.prod(domain.spacing)
+        else:
+            raise TypeError(f"not a valuation spec: {type(s).__name__}")
+        total = total + coef * v
+    return total
 
 
 def _read_mask(spec, domain: GridDomain):
-    """Boolean grid of every cell _evaluate_stack(spec, domain, .) may read:
-    changing a row anywhere else leaves that row's value unchanged."""
-    if callable(spec):
-        return np.ones(domain.shape, dtype=bool)
-    if isinstance(spec, Constant):
-        return np.zeros(domain.shape, dtype=bool)
-    if isinstance(spec, PairingMeasure):
-        idx, _ = _interpolation_corners(domain, spec.nodes)
-        mask = np.zeros(domain.size, dtype=bool)
-        mask[idx.ravel()] = True
-        return mask.reshape(domain.shape)
-    if isinstance(spec, HessianDensity):
-        if not domain.same_as(spec.weight.domain):
-            raise ValueError("probe function domain differs from the weight domain")
-        return _dilate(spec.weight.values != 0.0)  # the 3^n central-difference stencil
-    if isinstance(spec, Composite):
-        mask = np.zeros(domain.shape, dtype=bool)
-        for _, s in spec.terms:
-            mask |= _read_mask(s, domain)
-        return mask
-    raise TypeError(f"not a valuation spec: {type(spec).__name__}")
+    """Boolean grid of every cell _evaluate_windows(spec, domain, ...) may
+    read on the whole grid: changing a row anywhere else leaves that row's
+    value unchanged."""
+    mask = np.zeros(domain.shape, dtype=bool)
+    for _, s in _leaves(spec):
+        if callable(s):
+            mask[...] = True
+        elif isinstance(s, PairingMeasure):
+            idx, _ = _interpolation_corners(domain, s.nodes)
+            mask.flat[idx.ravel()] = True
+        elif isinstance(s, HessianDensity):
+            if not domain.same_as(s.weight.domain):
+                raise ValueError("probe function domain differs from the weight domain")
+            mask |= _dilate(s.weight.values != 0.0)  # the 3^n central-difference stencil
+        elif not isinstance(s, Constant):
+            raise TypeError(f"not a valuation spec: {type(s).__name__}")
+    return mask
 
 
 def evaluate(spec, f: ExtGridFn) -> float:
@@ -266,18 +249,13 @@ def evaluate(spec, f: ExtGridFn) -> float:
 
 
 def grid_domain(spec, domain: GridDomain | None = None) -> GridDomain:
-    """`domain` if given, else the grid the spec carries: a Hessian density's
-    weight grid, or the first such grid among a composite's terms."""
+    """`domain` if given, else the grid the spec carries: the weight grid of
+    its first Hessian density, depth first through composites."""
     if domain is not None:
         return domain
-    if isinstance(spec, HessianDensity):
-        return spec.weight.domain
-    if isinstance(spec, Composite):
-        for _, s in spec.terms:
-            try:
-                return grid_domain(s)
-            except ValueError:
-                pass
+    for _, s in _leaves(spec):
+        if isinstance(s, HessianDensity):
+            return s.weight.domain
     raise ValueError("a grid domain is required (spec carries none)")
 
 
@@ -287,13 +265,15 @@ def valuation_residual(spec, f: ExtGridFn, h: ExtGridFn) -> float:
     fmin = f.minimum(h)
     if not is_discretely_convex(fmin):
         raise ConvexityViolation("min(f, h) is not discretely convex")
-    return abs(evaluate(spec, f) + evaluate(spec, h)
-               - evaluate(spec, fmax) - evaluate(spec, fmin))
+    a, b, c, d = _evaluate_stack(spec, f.domain, np.stack(
+        [f.values, h.values, fmax.values, fmin.values]))
+    return float(abs(a + b - c - d))
 
 
 def depi_invariance_residual(spec, f: ExtGridFn, lam, c: float) -> float:
     """|mu(f + <lam, x> + c) - mu(f)|."""
-    return abs(evaluate(spec, f.add_affine(lam, c)) - evaluate(spec, f))
+    a, b = _evaluate_stack(spec, f.domain, np.stack([f.add_affine(lam, c).values, f.values]))
+    return float(abs(a - b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 import epival
-from epival import ExtGridFn, GridDomain
+from epival import Composite, Constant, ExtGridFn, GridDomain, HessianDensity, PairingMeasure
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(epival.__file__)))
 
@@ -41,6 +41,48 @@ def grid1d(lo=-2.0, hi=2.0, n=65):
 
 def grid2d(lo=-2.0, hi=2.0, n=33):
     return GridDomain([lo, lo], [hi, hi], [n, n])
+
+
+def grid3d(lo=-2.0, hi=2.0, n=9):
+    return GridDomain([lo] * 3, [hi] * 3, [n] * 3)
+
+
+SPEC_KINDS = ("pairing", "hessian", "hessian-aux", "hessian-cell-aux", "constant",
+              "composite")
+
+
+def random_spec(kind, d, rng, depth=2):
+    """A spec of `kind` (one of SPEC_KINDS) on the grid d, drawn from rng.
+
+    A pairing has n + 2 or n + 3 nodes, one of them on a grid node, and
+    weights from the null space of the moment conditions, so check=True
+    passes. A Hessian density has a random weight scattered off the 2-cell
+    margin; its order is n for "hessian" (and on a line), else random below
+    n, with constant ("hessian-aux") or per-cell ("hessian-cell-aux")
+    symmetric aux matrices. A composite has two terms of any kind, itself
+    included while depth > 1."""
+    n = d.ndim
+    if kind == "pairing":
+        nodes = rng.uniform(d.lo, d.hi, size=(n + int(rng.integers(2, 4)), n))
+        nodes[0] = d.lo + d.spacing * rng.integers(0, np.array(d.shape), size=n)  # a grid node
+        moments = np.vstack([np.ones(len(nodes)), nodes.T])
+        null = np.linalg.svd(moments)[2][n + 1:]
+        return PairingMeasure(nodes, rng.normal(size=len(null)) @ null)
+    if kind == "constant":
+        return Constant(float(rng.normal()))
+    if kind == "composite":
+        kinds = SPEC_KINDS if depth > 1 else SPEC_KINDS[:-1]
+        return Composite([(float(rng.normal()), random_spec(str(rng.choice(kinds)), d, rng,
+                                                             depth - 1)) for _ in range(2)])
+    inner = np.zeros(d.shape, dtype=bool)
+    inner[(slice(2, -2),) * n] = True
+    w = np.where(inner & (rng.random(d.shape) < 0.1), rng.normal(size=d.shape), 0.0)
+    order = n if kind == "hessian" or n == 1 else int(rng.integers(1, n))
+    aux = []
+    for _ in range(n - order):
+        a = rng.normal(size=(n, n) if kind == "hessian-aux" else d.shape + (n, n))
+        aux.append(a + np.swapaxes(a, -1, -2))
+    return HessianDensity(order, ExtGridFn(d, w), aux=aux)
 
 
 def sample(domain, fn):

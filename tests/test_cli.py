@@ -147,6 +147,21 @@ def test_decompose_composite_and_bad_spec(tmp_path, capsys):
     assert not (tmp_path / "nope.csv").exists()
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 2), (16, 17, 2, 2)])
+def test_aux_field_off_the_weight_grid_exits_3(tmp_path, capsys, shape):
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [17, 17])
+    write_grid(tmp_path / "f.json", d, lambda p: 0.5 * np.sum(p**2, axis=1))
+    save_grid_fn(Bump([0.0, 0.0], 0.8, 1.0).sample(d), tmp_path / "w.json")
+    dump_json_atomic({"kind": "hessian", "k": 1, "weight": "w.json",
+                      "aux": [np.ones(shape).tolist()]}, tmp_path / "hess.json")
+    out = tmp_path / "parts.csv"
+    rc = main(["decompose", "--spec", str(tmp_path / "hess.json"),
+               "--in", str(tmp_path / "f.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and "Traceback" not in err and "auxiliary matrices" in err
+    assert not out.exists()
+
+
 def _decompose_rc(tmp_path, capsys, spec):
     fin = tmp_path / "f.json"
     write_grid(fin, GridDomain([-2.0], [2.0], [33]), lambda p: 0.5 * p[:, 0] ** 2)

@@ -28,10 +28,11 @@ from epival import (
     valuation_residual,
 )
 
-from epival.valuations import _evaluate_stack, _read_mask
+from epival.grids import _window_cells
+from epival.valuations import _evaluate_stack, _evaluate_windows, _read_mask, grid_domain
 
-from helpers import (grid1d, grid2d, inclusion_exclusion_mixed_determinant,
-                     mixed_coeff_oracle, quadratic, sample)
+from helpers import (SPEC_KINDS, grid1d, grid2d, grid3d, inclusion_exclusion_mixed_determinant,
+                     mixed_coeff_oracle, quadratic, random_spec, sample)
 
 
 def mu1(x=1.0):
@@ -127,42 +128,74 @@ def test_evaluate_stack_errors():
         _evaluate_stack(specs["hessian-field-aux"], grid2d(n=19), np.zeros((1, 19, 19)))
 
 
-def _random_spec(kind, d, rng):
-    """A spec with random nodes, or a random scattered weight off the 2-cell
-    margin; the moment conditions are not needed for reading cells."""
-    n = d.ndim
-    if kind == "pairing":
-        nodes = rng.uniform(d.lo, d.hi, size=(int(rng.integers(1, 5)), n))
-        nodes[0] = d.lo + d.spacing * rng.integers(0, np.array(d.shape), size=n)  # a grid node
-        return PairingMeasure(nodes, rng.normal(size=nodes.shape[0]), check=False)
-    if kind == "constant":
-        return Constant(float(rng.normal()))
-    inner = np.zeros(d.shape, dtype=bool)
-    inner[(slice(2, -2),) * n] = True
-    w = np.where(inner & (rng.random(d.shape) < 0.1), rng.normal(size=d.shape), 0.0)
-    if kind == "hessian-aux" and n > 1:
-        a = rng.normal(size=(n, n))
-        return HessianDensity(n - 1, ExtGridFn(d, w), aux=[a + a.T])
-    if kind.startswith("hessian"):
-        return HessianDensity(n, ExtGridFn(d, w))
-    return Composite([(1.0, _random_spec("pairing", d, rng)),
-                      (-2.0, _random_spec("hessian", d, rng))])
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(ndim=st.sampled_from([1, 2]),
-       kind=st.sampled_from(["pairing", "hessian", "hessian-aux", "composite", "constant"]),
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
        seed=st.integers(0, 2**32 - 1))
 def test_values_outside_read_mask_do_not_change_evaluation(ndim, kind, seed):
     rng = np.random.default_rng(seed)
-    d = grid1d(n=17) if ndim == 1 else grid2d(n=13)
-    spec = _random_spec(kind, d, rng)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
     reads = _read_mask(spec, d)
     assert not reads.all()
     stack = rng.normal(size=(3,) + d.shape)
     other = np.where(rng.random(stack.shape) < 0.3, np.inf, 1e3 * rng.normal(size=stack.shape))
     changed = np.where(reads, stack, other)
     assert np.array_equal(_evaluate_stack(spec, d, changed), _evaluate_stack(spec, d, stack))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_form_leaves_out_only_terms_beyond_the_window(ndim, kind, seed):
+    # f and g differ only on cells two cells inside a random box window's
+    # edges (or on the grid's edge), so mu - mu_W, the terms beyond the
+    # window, is the same for both; window cells mu does not read are +inf
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    shape = np.array(d.shape)
+    window = tuple(int(w) for w in rng.integers(3, shape + 1))
+    start = rng.integers(0, shape - window + 1)
+    cells = _window_cells(d.shape, window, start[None])
+    free = np.ones(window, dtype=bool)
+    for a, (w, s, n) in enumerate(zip(window, start, d.shape)):
+        pos = np.arange(w)
+        ok = ((pos >= 2) | (s == 0)) & ((pos < w - 2) | (s + w == n))
+        free &= ok.reshape((w,) + (1,) * (ndim - 1 - a))
+    reads = _read_mask(spec, d).ravel()[cells[0]]
+    f = rng.normal(size=d.size)
+    f[cells[0][~reads]] = np.inf
+    g = np.array(f)
+    g[cells[0][free & reads]] += 10.0 * rng.normal(size=np.count_nonzero(free & reads))
+    rows = np.stack([f, g])
+    mu = _evaluate_stack(spec, d, rows.reshape((2,) + d.shape))
+    mu_w = _evaluate_windows(spec, d, rows[:, cells[0]][None], cells)[0]
+    assert np.all(np.isfinite(mu)) and np.all(np.isfinite(mu_w))
+    scale = 1.0 + float(np.max(np.abs(np.r_[mu, mu_w])))
+    assert abs((mu[0] - mu_w[0]) - (mu[1] - mu_w[1])) <= 1e-12 * scale
+
+
+def test_grid_domain_is_the_given_one_or_the_first_hessian_weight_grid():
+    rng = np.random.default_rng(5)
+    d, e = grid2d(n=13), grid2d(n=17)
+    pairing, on_d, on_e = (random_spec("pairing", d, rng), random_spec("hessian", d, rng),
+                           random_spec("hessian", e, rng))
+    assert grid_domain(on_d, e) is e
+    assert grid_domain(pairing, d) is d
+    nested = Composite([(1.0, pairing), (2.0, Composite([(1.0, Constant(1.0)), (1.0, on_e)])),
+                        (1.0, on_d)])
+    assert grid_domain(nested) is on_e.weight.domain
+    for spec in (pairing, Composite([(1.0, pairing), (3.0, Composite([(1.0, Constant(2.0))]))])):
+        with pytest.raises(ValueError, match="grid domain is required"):
+            grid_domain(spec)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (16, 17, 2, 2), (17, 17, 3, 3)])
+def test_hessian_refuses_aux_fields_off_the_weight_grid(shape):
+    d = grid2d(n=17)
+    with pytest.raises(ValueError, match="auxiliary matrices"):
+        HessianDensity(1, bump_weight(d), aux=[np.ones(shape)])
+    HessianDensity(1, bump_weight(d), aux=[np.ones((17, 17, 2, 2))])
 
 
 def test_read_mask_of_each_spec_kind():
