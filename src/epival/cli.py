@@ -126,10 +126,8 @@ def cmd_gw(args, spec):
     tests = [_parsed("--bump", _bump, b) for b in args.bump]
     tests += [serialize.load_grid_fn(p) for p in args.test]
     base = serialize.load_grid_fn(args.base) if args.base else None
-    if args.diagonality:
-        return {"residual": gw.diagonality_residual(spec, args.k, tests, domain=domain,
-                                                    base=base, step=args.h)}
-    return gw.gw_report(spec, gw.GWQuery(args.k, tests, base=base, step=args.h), domain)
+    query = gw.GWQuery(args.k, tests, base=base, step=args.h)
+    return (gw._diagonality if args.diagonality else gw.gw_report)(spec, query, domain)
 
 
 def cmd_scan(args, spec):

@@ -298,26 +298,18 @@ class Bump:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "amplitude", float(amplitude))
 
-    def _points(self, pts):
-        """pts as (N, n), refusing points whose dimension is not the center's,
-        which numpy would otherwise broadcast against it."""
+    def value(self, pts):
+        """Values at (N, n) points, refusing points whose dimension is not the
+        center's, which numpy would otherwise broadcast against it."""
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.center.size:
             raise ValueError(f"bump center has dimension {self.center.size}, "
                              f"points have dimension {pts.shape[1]}")
-        return pts
-
-    def value(self, pts):
-        return _bump_values(self._points(pts), self.center[None], self.radius,
-                            self.amplitude)[0]
+        return _bump_values(pts, self.center[None], self.radius, self.amplitude)[0]
 
     def sample(self, domain: GridDomain) -> ExtGridFn:
         vals = self.value(domain.points()).reshape(domain.shape)
         return ExtGridFn(domain, vals)
-
-    def support_mask(self, domain: GridDomain):
-        d = self._points(domain.points()) - self.center
-        return (np.sum(d * d, axis=1) / self.radius**2 < 1.0).reshape(domain.shape)
 
 
 @dataclass(frozen=True, eq=False)

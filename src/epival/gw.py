@@ -248,31 +248,28 @@ def gw_eval(spec, query: GWQuery, domain: GridDomain | None = None) -> float:
     return gw_report(spec, query, domain)["value"]
 
 
-def _support_masks(tests, domain):
-    masks = []
-    for phi in tests:
-        if isinstance(phi, Bump):
-            masks.append(phi.support_mask(domain))
-        else:
-            masks.append(phi.values != 0.0)
-    return masks
+def _diagonality(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
+    """gw_report with "residual" = |value|, for tests whose supports, the
+    cells where their samples do not vanish, are at least two empty cells
+    apart: a Hessian stencil reads its 3^n box, so no cell then sees two
+    tests."""
+    dom = grid_domain(spec, domain if query.base is None else query.base.domain)
+    grown = [_dilate(_test_function(phi, dom)[0] != 0.0) for phi in query.tests]
+    for i in range(len(grown)):
+        for j in range(i + 1, len(grown)):
+            if np.any(grown[i] & grown[j]):
+                raise ValueError(
+                    "test supports must be separated by at least two empty cells")
+    report = gw_report(spec, query, dom)
+    return dict(report, residual=abs(report["value"]))
 
 
 def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
                          base: ExtGridFn | None = None,
                          step: float | None = None) -> float:
-    """|gw_eval| for test functions with pairwise disjoint supports
-    (at least one empty cell between them)."""
-    query = GWQuery(k, bumps, base=base, step=step)
-    dom = grid_domain(spec, domain if base is None else base.domain)
-    masks = _support_masks(query.tests, dom)
-    for i in range(len(masks)):
-        grown = _dilate(masks[i])
-        for j in range(i + 1, len(masks)):
-            if np.any(grown & masks[j]):
-                raise ValueError(
-                    "test supports must be separated by at least one empty cell")
-    return abs(gw_eval(spec, query, dom))
+    """|gw_eval| for test functions whose supports (the cells where their
+    samples do not vanish) are at least two empty cells apart."""
+    return _diagonality(spec, GWQuery(k, bumps, base=base, step=step), domain)["residual"]
 
 
 def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,

@@ -261,6 +261,88 @@ def test_gw_value_report_fields(tmp_path, capsys):
     assert report["agreement"] <= 1e-7
 
 
+def test_gw_diagonality_report_carries_the_gw_report_fields(tmp_path, capsys):
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [33, 33])
+    save_grid_fn(Bump([0.0, 0.0], 1.6, 1.0).sample(d), tmp_path / "w.json")
+    dump_json_atomic({"kind": "hessian", "k": 2, "weight": "w.json", "aux": []},
+                     tmp_path / "hess.json")
+    rc = main(["gw", "--spec", str(tmp_path / "hess.json"), "--k", "2",
+               "--bump=-0.9,0.2:0.5:1", "--bump=0.8,-0.3:0.5:1", "--diagonality"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("value", "value_half_step", "step", "agreement", "corner_max",
+                "test_sup_norms"):
+        assert key in report
+    assert report["residual"] == abs(report["value"])
+    assert report["residual"] <= 1e-10 * report["corner_max"]
+
+
+def test_gw_diagonality_of_grid_file_tests(tmp_path, capsys):
+    # tests are separated by their nonzero samples: two empty cells pass at
+    # noise level, one exits 3
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [41, 41])
+    save_grid_fn(Bump([0.0, 0.0], 1.8, 1.0).sample(d), tmp_path / "w.json")
+    dump_json_atomic({"kind": "hessian", "k": 2, "weight": "w.json", "aux": []},
+                     tmp_path / "hess.json")
+    left = Bump([-0.8, 0.0], 0.45, 1.0).sample(d)
+    save_grid_fn(left, tmp_path / "left.json")
+    width = np.flatnonzero(left.values.any(axis=1)).size
+    for empty, rc in ((2, 0), (1, 3)):
+        save_grid_fn(ExtGridFn(d, np.roll(left.values, width + empty, axis=0)),
+                     tmp_path / "right.json")
+        assert main(["gw", "--spec", str(tmp_path / "hess.json"), "--k", "2",
+                     "--test", str(tmp_path / "left.json"),
+                     "--test", str(tmp_path / "right.json"), "--diagonality"]) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            report = json.loads(out)
+            assert report["residual"] <= 1e-10 * report["corner_max"]
+        else:
+            assert out == "" and err.startswith("error: ") and "two empty cells" in err
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"domain": ', "invalid JSON"),
+    ('{"domain": {"lo": [-1.0], "hi": [1.0], "shape": [3]}, '
+     '"values": ["inf", "inf", "inf"]}', "must be proper"),
+    ('{"domain": {"lo": [-1.0], "hi": [1.0], "shape": [3]}, '
+     '"values": [1.0, 1e999, 1.0]}', "non-finite numeric value"),
+])
+def test_unreadable_grid_file_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "f.json").write_text(text)
+    out = tmp_path / "out.json"
+    rc = main(["transform", "--op", "legendre", "--in", str(tmp_path / "f.json"),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_pairing_spec_without_weights_exits_2(tmp_path, capsys):
+    dump_json_atomic({"kind": "pairing", "nodes": NODES}, tmp_path / "spec.json")
+    rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
+    assert rc == 2
+    assert "missing 'weights'" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["transform", "--op", "reg", "--in", "f.json"], "requires --r"),
+    (["transform", "--op", "reconstruct", "--in", "f.json"], "requires --R"),
+    (["scan", "--spec", "mu1.json", "--k", "1", "--probe-radius", "0", "--grid=-2:2:33"],
+     "probe_radius must be positive"),
+])
+def test_missing_radius_or_zero_probe_radius_exits_3(tmp_path, capsys, monkeypatch, args,
+                                                     message):
+    write_mu1(tmp_path / "mu1.json")
+    write_grid(tmp_path / "f.json", GridDomain([-2.0], [2.0], [33]), lambda p: p[:, 0] ** 2)
+    monkeypatch.chdir(tmp_path)
+    rc = main(args + ["--out", "out.json"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_scan_covers_nodes(tmp_path, capsys):
     write_mu1(tmp_path / "mu1.json")
     out = tmp_path / "mask.json"

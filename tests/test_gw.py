@@ -221,6 +221,22 @@ def test_diagonality_negative_control_same_center():
         diagonality_residual(spec, 2, [b1, b2])
 
 
+def test_diagonality_needs_two_empty_cells_between_supports():
+    # a Hessian cell term reads its 3^n box: with one empty column between
+    # the supports (column 20 at x = 0), that cell's stencil sees both tests
+    d = grid2d(n=41)
+    spec = HessianDensity(2, Bump([0.0, 0.0], 1.8).sample(d))
+    close = [Bump([-0.499, 0.13], 0.45), Bump([0.499, -0.21], 0.45)]
+    cols = [np.flatnonzero(b.sample(d).values.any(axis=1)) for b in close]
+    assert cols[0].max() == 19 and cols[1].min() == 21
+    assert abs(gw_eval(spec, GWQuery(2, close))) > 1e-4
+    with pytest.raises(ValueError, match="two empty cells"):
+        diagonality_residual(spec, 2, close)
+    apart = [Bump([-0.549, 0.13], 0.45), Bump([0.499, -0.21], 0.45)]
+    report = epival.gw._diagonality(spec, GWQuery(2, apart))
+    assert report["residual"] <= 1e-10 * report["corner_max"]
+
+
 def test_diagonality_order_one_vacuous_case():
     d = GridDomain([-2.0], [2.0], [129])
     res = diagonality_residual(mu1(), 1, [Bump([1.7], 0.2, 1.0)], domain=d)

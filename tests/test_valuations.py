@@ -380,6 +380,23 @@ def test_decompose_composite_matches_per_term():
     assert parts.total() == pytest.approx(evaluate(spec, f), rel=1e-9)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_components_are_homogeneous(ndim, kind, seed):
+    # component i at t f is t^i times component i at f
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    f = rng.normal(size=d.shape)
+    parts = homogeneous_decompose(spec, ExtGridFn(d, f))  # n defaults to the grid's
+    for t in (0.5, 2.0, 3.0):
+        scaled = homogeneous_decompose(spec, ExtGridFn(d, t * f), ndim)
+        want = t ** np.arange(ndim + 1) * parts.components
+        assert np.max(np.abs(scaled.components - want)) <= 1e-11 * max(parts.scale,
+                                                                        scaled.scale)
+
+
 def test_decompose_components_are_valuations():
     d = grid1d()
     spec = Composite([(1.0, Constant(2.0)), (1.0, mu1())])
