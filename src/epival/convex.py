@@ -12,7 +12,15 @@ import numpy as np
 from .errors import ConvexityViolation, DomainExceeded
 from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mask
 
-_BLOCK = 1 << 21  # floats in one temporary block of the row-blocked kernels
+# Floats in one temporary block of the row-blocked kernels: 2^19, 4 MB. A
+# support scan sizes its blocks of probes from it, and a fresh CLI process
+# faults each block's pages in. Against 2^21, the benchmark's 33^2 scans
+# peak at 3.8 rather than 11.7 MB of traced memory (Hessian, k=2) and 3.1
+# rather than 8.0 MB (pairing, k=1); masks and responses do not depend on the
+# size. Each block costs fixed Python overhead, which makes 2^19 the knee: a
+# 17^3 k=3 scan (about 19.7k floats per probe) runs 25-35% slower at 2^18
+# than at 2^21, and within 8% of it at 2^19, faster on a quiet host.
+_BLOCK = 1 << 19
 
 
 def _directions(ndim):

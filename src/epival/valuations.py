@@ -300,6 +300,12 @@ def _dilations(f: ExtGridFn, ts):
 def _vandermonde(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # cond(V) grows with n: 4.2e10 at n = 7, 2.1e12 at n = 8, 8.5e22 at
+    # n = 16. An n above 16 is refused before V is built: V takes (n + 2)^2
+    # floats (7.3 TiB at n = 10^6), its SVD seconds at n in the thousands,
+    # and its entries overflow to inf from n = 142 on
+    if n > 16:
+        raise np.linalg.LinAlgError("Vandermonde system too ill-conditioned")
     ts = np.arange(1, n + 3, dtype=float)
     V = np.vander(ts, N=n + 2, increasing=True)
     if np.linalg.cond(V) > 1e12:

@@ -580,6 +580,33 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     assert json.loads(outs[0])["command"] == command
 
 
+@pytest.mark.parametrize("command", ["scan", "gw", "decompose"])
+def test_child_process_output_matches_in_process_main(tmp_path, capsys, command):
+    """A child started as perfbench starts one (its imports frozen out of
+    the collector) writes the report and output file an in-process main()
+    writes, byte for byte."""
+    argv = _commands(tmp_path)[command]
+    assert main(argv) == 0
+    out = tmp_path / "out.data"
+    want = (capsys.readouterr().out.encode(), out.read_bytes())
+    out.unlink()
+    child = subprocess.run([sys.executable, "-c", "import sys; from epival.cli import main; "
+                            "sys.exit(main())", *argv], env=child_env(), capture_output=True,
+                           check=True)
+    assert (child.stdout, out.read_bytes()) == want
+
+
+def test_decompose_refuses_a_huge_n_before_allocating(tmp_path):
+    # n = 10**6 would build a 7.3 TiB Vandermonde matrix
+    argv = _commands(tmp_path)["decompose"] + ["--n", "1000000"]
+    run = subprocess.run([sys.executable, "-m", "epival.cli", *argv], env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out.data").exists()
+
+
 GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
            "values": [1.0, 0.25, 0.0, 0.25, 1.0]}
 

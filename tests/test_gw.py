@@ -406,6 +406,18 @@ def test_scan_allocates_at_most_two_and_a_half_blocks():
         assert peak_floats(lambda: support_scan(spec, k, 0.3)) <= 2.5 * epival.convex._BLOCK
 
 
+def test_benchmark_sized_scans_allocate_at_most_six_megabytes():
+    """The probe workload's scans, a 33^2 Hessian k=2 and a 33^2 pairing k=1
+    scan at radius 0.3, each start a fresh process, where every float of a
+    block is a page faulted in: measured about 480k and 390k floats (1.46M
+    and 1.0M with 16 MB blocks)."""
+    d = grid2d(n=33)
+    pairing = PairingMeasure([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]],
+                             [1.0, -1.0, -1.0, 1.0])
+    for spec, k in ((hess2(d, radius=1.2), 2), (pairing, 1)):
+        assert peak_floats(lambda: support_scan(spec, k, 0.3, domain=d)) <= 750_000
+
+
 def test_scan_refuses_a_negative_tol():
     # a negative tol would mark every cell, zero responses included
     with pytest.raises(ValueError, match="tol must be nonnegative"):

@@ -43,3 +43,19 @@ def test_import_has_no_side_effects():
     out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["True False", "epival.gw True"]
+
+
+@pytest.mark.parametrize("modules, frozen", [
+    (["epival.cli"], True),
+    (["epival", "epival.convex", "epival.grids", "epival.gw", "epival.valuations",
+      "epival.serialize"], False),
+])
+def test_only_the_cli_freezes_the_import_heap(modules, frozen):
+    """The CLI moves its imports' objects out of the collector's reach, for
+    a short process that never frees them; the library leaves the collector
+    as it found it."""
+    code = ("import gc, importlib, sys\nfor name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\nprint(gc.get_freeze_count())")
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert (int(out) > 0) == frozen
