@@ -6,7 +6,7 @@ atomic renames, and prints one JSON line embedding the fully resolved
 configuration, so a rerun of any seeded command is byte-identical.
 
 Exit codes: 0 success, 2 I/O or parse failure, 3 precondition or
-math-domain violation.
+math-domain violation, or a computation too large for memory.
 """
 
 import gc
@@ -82,29 +82,25 @@ def _check_out(path):
 
 
 def cmd_transform(args, spec):
+    dual = _parsed("--grid", _grid, args.grid)
+    if args.op == "reg" and args.r is None:
+        raise ValueError("--op reg requires --r")
+    if args.op == "reconstruct" and args.R is None:
+        raise ValueError("--op reconstruct requires --R")
     f = serialize.load_grid_fn(args.infile)
-    fstar = None  # f*, which the gap starts from, once an op has computed it
+    fstar = convex.legendre(f)  # f* on the default dual grid, which the gap starts from
     if args.op == "legendre":
-        out = convex.legendre(f, _parsed("--grid", _grid, args.grid))
+        out = fstar if dual is None else convex.legendre(f, dual)
         key, cells = "sup_diff_vs_input", None
         if out.domain.same_as(f.domain):
             cells = f.finite_mask & out.finite_mask
-        if args.grid is None:
-            fstar = out
     elif args.op == "reg":
-        if args.r is None:
-            raise ValueError("--op reg requires --r")
         out = convex.lipschitz_regularize(f, args.r)
         key, cells = "sup_change", f.finite_mask
     else:
-        if args.R is None:
-            raise ValueError("--op reconstruct requires --R")
-        fstar = convex.legendre(f)
         out = convex._reconstruct_from_conjugate(f, args.R, fstar)
         key = "sup_error_ball"
         cells = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
-    if fstar is None:
-        fstar = convex.legendre(f)
     report = {"biconjugate_gap": convex._biconjugate_gap(f, fstar), key: None}
     if cells is not None:
         report[key] = float(np.max(np.abs(out.values[cells] - f.values[cells])))
@@ -251,7 +247,8 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (ValueError, TypeError, ArithmeticError, np.linalg.LinAlgError) as err:
+    except (ValueError, TypeError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 3
 

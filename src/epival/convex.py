@@ -66,22 +66,17 @@ def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
     return bool(_convex_rows(f.values[None], tol)[0])
 
 
-def _convex_rows(stack, tol=1e-9, top=0.0):
+def _convex_rows(stack, tol=1e-9):
     """is_discretely_convex for each row of a (B, *grid) value stack, each
     row against its own scale. A stack with no +inf cell skips the masking
     and the scan-line test, which then hold trivially.
-
-    With top > 0, each row is a window of a larger function whose largest
-    |value| beyond the window is at most top, and whose second differences
-    centred beyond the window the caller knows to pass: the scale is the
-    larger of top and the row's own.
     """
     rows, ndim = stack.shape[0], stack.ndim - 1
     axes = tuple(range(1, ndim + 1))
     fin = np.isfinite(stack)
     finite = bool(fin.all())
     vals = stack if finite else np.where(fin, stack, 0.0)
-    thr = -tol * (1.0 + np.maximum(np.max(np.abs(vals), axis=axes), top))
+    thr = -tol * (1.0 + np.max(np.abs(vals), axis=axes))
     ok = np.ones(rows, dtype=bool)
     for d in _directions(ndim):
         vm, vc, vp = _shifted_views(vals, (0,) + d)
@@ -619,31 +614,26 @@ def _check_mask(f: ExtGridFn, U_mask: ScanMask):
         raise ValueError("mask is disconnected")
 
 
-def _discrete_c2_bound(phi: ExtGridFn) -> float:
-    """|phi| + |grad phi| + curvature bound from the sampled data.
+def _curvature(stack, spacing):
+    """For each row of a (B, *grid) stack, the largest |second difference| /
+    |d∘dx|^2 over the directions d of _directions: the quotients that
+    _convex_rows reads.
 
-    The curvature part is the larger of the spectral norm of the central
-    difference Hessian and the raw directional second-difference quotients,
-    so quadratic splits and Goodey-Weil corners pass the convexity check.
+    |x|^2 has the second difference 2|d∘dx|^2 in every direction, so |x|^2
+    plus rows of curvature at most c, at steps that sum to at most 1/c, keeps
+    every second difference at least |d∘dx|^2 > 0.
     """
-    vals = phi.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("phi must be finite everywhere")
-    dom = phi.domain
-    sup = float(np.max(np.abs(vals)))
-    grads = np.reshape(np.gradient(vals, *dom.axes(), edge_order=1),
-                       (dom.ndim,) + vals.shape)
-    gnorm = float(np.max(np.sqrt(np.sum(grads * grads, axis=0))))
-    curv = 0.0
-    dx = dom.spacing
-    for d in _directions(dom.ndim):
-        vm, vc, vp = _shifted_views(vals, d)
-        step2 = float(np.sum((dx * np.array(d))**2))
-        curv = max(curv, float(np.max(np.abs(vm - 2 * vc + vp))) / step2)
-    if all(s >= 5 for s in dom.shape):  # Hessians two cells in from the boundary
-        H = central_hessian_at(vals, dx, np.argwhere(~_margin_mask(dom.shape, 2)))
-        curv = max(curv, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
-    return sup + gnorm + curv
+    ndim = stack.ndim - 1
+    axes = tuple(range(1, ndim + 1))
+    curv = np.zeros(stack.shape[0])
+    for d in _directions(ndim):
+        vm, vc, vp = _shifted_views(stack, (0,) + d)
+        second = np.multiply(vc, -2.0)
+        second += vm
+        second += vp
+        np.abs(second, out=second)
+        curv = np.maximum(curv, np.max(second, axis=axes) / np.sum((spacing * np.array(d))**2))
+    return curv
 
 
 def central_hessian_at(values, spacing, idx):
@@ -688,21 +678,25 @@ def central_hessian_at(values, spacing, idx):
 
 
 def _test_function(phi, domain: GridDomain):
-    """Values on `domain` and the C2-type bound of a test function, read from
-    its samples: a Bump is sampled on `domain`, a grid function must live there."""
+    """Values on `domain` and the curvature of a test function, read from its
+    samples: a Bump is sampled on `domain`, a grid function must live there
+    and be finite everywhere."""
     if isinstance(phi, Bump):
         phi = phi.sample(domain)
     elif not isinstance(phi, ExtGridFn):
         raise TypeError("test functions must be Bump or ExtGridFn")
     elif not phi.domain.same_as(domain):
         raise ValueError("test function domain mismatch")
-    return phi.values, _discrete_c2_bound(phi)
+    if not np.all(np.isfinite(phi.values)):
+        raise ValueError("phi must be finite everywhere")
+    return phi.values, float(_curvature(phi.values[None], domain.spacing)[0])
 
 
 def convex_split(phi, domain: GridDomain | None = None):
     """Write phi as a difference f - h of two discretely convex functions.
 
-    f = c|x|^2/2 + phi and h = c|x|^2/2 with c the C2-type bound of phi.
+    f = c|x|^2/2 + phi and h = c|x|^2/2 with c the curvature of phi, so every
+    second difference of f is at least 0 (see _curvature).
     A grid input lives on its own domain; a Bump needs one.
     """
     if domain is None:

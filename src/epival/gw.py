@@ -9,12 +9,11 @@ of the step size, which the implementation verifies by re-running at half
 the step. Many probes are evaluated at once: their corners form one stack.
 
 A corner differs from the base only where its tests do not vanish, so a
-support scan evaluates each probe on a window of O(probe support) cells:
-the convexity check takes the base's largest |value| into its scale, which
-keeps every outcome the whole grid's, and the valuation is taken in its
-window form, whose terms beyond the window cancel in the mixed difference.
-gw_report is the same computation with the whole grid as its one window,
-on which the window form is the valuation itself.
+support scan evaluates each probe on a window of O(probe support) cells, in
+the valuation's window form, whose terms beyond the window cancel in the
+mixed difference; each probe's step comes from its own curvature, which
+keeps its corners convex. gw_report is the same computation with the whole
+grid as its one window, on which the window form is the valuation itself.
 """
 
 from dataclasses import dataclass
@@ -23,9 +22,10 @@ from math import comb, factorial, inf, prod
 
 import numpy as np
 
-from .convex import _by_rows, _convex_rows, _extend, _test_function, is_discretely_convex
+from .convex import (_by_rows, _convex_rows, _curvature, _extend, _test_function,
+                     is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
-from .grids import Bump, ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate, _window_cells
+from .grids import ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate, _window_cells
 from .sampling import random_convex_fn
 from .valuations import (PairingMeasure, _evaluate_stack, _evaluate_windows, _local,
                          _read_mask, evaluate, grid_domain)
@@ -40,8 +40,9 @@ class GWQuery:
     """Order, test functions (Bump or grid), optional base and step.
 
     The default base is |x|^2 on the resolved domain; the default step is
-    min(0.1, 1/(k * max C2 bound of the tests' samples)), at which corners on
-    that base pass the convexity check; corners that fail halve the step.
+    min(0.1, 1/(k * max curvature of the tests' samples)), at which corners
+    on that base are convex (see convex._curvature). A given base or step is
+    checked, and corners that are not convex halve the step.
     """
 
     order: int
@@ -96,8 +97,10 @@ def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
     return base.values, evaluate(spec, base)
 
 
-def _auto_step(k, c2s):
-    return min(0.1, 1.0 / (k * max(max(c2s), 1e-12)))
+def _auto_step(k, curvature):
+    """The step at which k tests of at most this curvature (a number or an
+    array) keep every corner on |x|^2 convex."""
+    return np.minimum(0.1, 1.0 / (k * np.maximum(curvature, 1e-12)))
 
 
 def _multiset(tests):
@@ -155,89 +158,78 @@ def _difference(plan, base_value, vals, h, k):
 
 
 def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
-    """Mixed differences of P probes at their steps h and h/2, with the
-    agreement check; mu(base) = base_value, and phis is (P, G, *W), the G
+    """Mixed differences of P probes at their steps h (P,) and at h/2, with
+    the agreement check; mu(base) = base_value, and phis is (P, G, *W), the G
     distinct tests of each probe with multiplicities mults on its window,
     whose flat grid indices are cells (P, *W). Tests vanish on the two outer
-    layers of a window's cells, except where it meets the grid's edge.
+    layers of a window's cells, except where it meets the grid's edge, and
+    the caller makes sure that every corner is convex.
 
     Corners differ from the base only inside the window, so a probe is
-    evaluated there. Its convexity check has the whole-grid check's outcome:
-    only support_scan passes windows, with the base |x|^2 >= 0 and bumps >= 0
-    at positive steps, so a corner is at least the base, its largest |value|
-    is the larger of its window's and max |base|, and its second differences
-    beyond the window are the base's, which passed at the base's own smaller
-    scale. Its mixed difference is the one of the window form mu_W, where the
-    terms beyond the window cancel. The noise floor scales with mu itself,
-    mu_W + mu(base) - mu_W(base) at a corner. On a window that is the whole
-    grid mu_W is mu, and the convexity check takes no outside scale.
+    evaluated there. Its mixed difference is the one of the window form mu_W,
+    where the terms beyond the window cancel. The noise floor scales with mu
+    itself, mu_W + mu(base) - mu_W(base) at a corner. On a window that is the
+    whole grid mu_W is mu.
 
-    Each probe starts at step h; a probe whose corners at h or h/2 fail the
-    convexity check halves its own step and is tried again. Returns a
-    (5, P) array of the value at h, the value at h/2, the step used, the
-    largest |mu| over the corners at h, and the noise floor.
+    Returns a (4, P) array of the value at h, the value at h/2, the largest
+    |mu| over the corners at h, and the noise floor.
     """
     k = sum(mults)
     plan = _corner_plan(mults)
     window = cells.shape[1:]
     base_win = base_vals.ravel()[cells]
-    top = np.max(np.abs(base_vals)) if window != dom.shape else 0.0
     mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
     # mu = mu_W + offset at every corner: the noise floor scales with mu,
     # whose rounding in the stencils the window terms alone understate
     offset = base_value - mu_w
-    out = np.empty((5, phis.shape[0]))
-    steps = np.full(phis.shape[0], float(h))
-    todo = np.arange(phis.shape[0])
-    for _ in range(_MAX_HALVINGS + 1):
-        h = steps[todo]
-        stack = _corners(base_win[todo], phis[todo], plan, np.stack([h, h / 2.0], axis=1))
-        rows = stack.reshape((-1,) + window)
-        ok = _convex_rows(rows, top=top).reshape(todo.size, -1).all(axis=1)
-        if np.any(ok):
-            sel = stack if np.all(ok) else stack[ok]
-            vals = _evaluate_windows(spec, dom, sel.reshape((sel.shape[0], -1) + window),
-                                     cells[todo[ok]]).reshape(sel.shape[:3])
-            h1, b, o = h[ok], mu_w[todo[ok]], offset[todo[ok]]
-            v1 = _difference(plan, b, vals[:, 0], h1, k)
-            v2 = _difference(plan, b, vals[:, 1], h1 / 2.0, k)
-            m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(v + o[:, None]), axis=1))
-                      for v in (vals[:, 0], vals[:, 1]))
-            floor = _noise_floor(m1, k, h1) + _noise_floor(m2, k, h1 / 2.0)
-            bad = np.abs(v1 - v2) > REL_STEP_TOL * np.maximum(np.abs(v1), np.abs(v2)) + floor
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise StepAgreementError(
-                    f"values at h and h/2 disagree: {float(v1[i])!r} vs {float(v2[i])!r}")
-            out[:, todo[ok]] = v1, v2, h1, m1, floor
-        todo = todo[~ok]
-        if todo.size == 0:
-            return out
-        steps[todo] /= 2.0
-    raise ConvexityViolation("no admissible step found after halvings: corner "
-                             "functions are not convex")
+    stack = _corners(base_win, phis, plan, np.stack([h, h / 2.0], axis=1))
+    vals = _evaluate_windows(spec, dom, stack.reshape((stack.shape[0], -1) + window),
+                             cells).reshape(stack.shape[:3])
+    v1 = _difference(plan, mu_w, vals[:, 0], h, k)
+    v2 = _difference(plan, mu_w, vals[:, 1], h / 2.0, k)
+    m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(v + offset[:, None]), axis=1))
+              for v in (vals[:, 0], vals[:, 1]))
+    floor = _noise_floor(m1, k, h) + _noise_floor(m2, k, h / 2.0)
+    bad = np.abs(v1 - v2) > REL_STEP_TOL * np.maximum(np.abs(v1), np.abs(v2)) + floor
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise StepAgreementError(
+            f"values at h and h/2 disagree: {float(v1[i])!r} vs {float(v2[i])!r}")
+    return np.stack([v1, v2, m1, floor])
 
 
 def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     """Goodey-Weil pairing value with the half-step verification data."""
     dom = grid_domain(spec, domain if query.base is None else query.base.domain)
     k = query.order
-    stack, c2s = zip(*(_test_function(phi, dom) for phi in query.tests))
-    h = query.step if query.step is not None else _auto_step(k, c2s)
+    stack, curvatures = zip(*(_test_function(phi, dom) for phi in query.tests))
+    h = query.step if query.step is not None else float(_auto_step(k, max(curvatures)))
     if not h > 0:  # NaN included
         raise ValueError("step must be positive")
     base_vals, base_value = _base(spec, dom, query.base)
     distinct, mults = _multiset(stack)
+    phis, plan = np.stack(distinct)[None], _corner_plan(mults)
+    # the default base and step are convex corners by _auto_step's rule; a
+    # given base or step halves until its corners at h and h/2 are convex
+    for _ in range(_MAX_HALVINGS + 1):
+        corners = _corners(base_vals[None], phis, plan, np.array([[h, h / 2.0]]))
+        if np.all(_convex_rows(corners.reshape((-1,) + dom.shape))):
+            break
+        h /= 2.0
+    else:
+        raise ConvexityViolation("no admissible step found after halvings: corner "
+                                 "functions are not convex")
+    del corners
     whole = np.arange(dom.size).reshape((1,) + dom.shape)
-    v1, v2, h_used, corner_max, floor = (float(v) for v in _gw_core(
-        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, h, whole)[:, 0])
+    v1, v2, corner_max, floor = (float(v) for v in _gw_core(
+        spec, dom, base_vals, base_value, phis, mults, np.array([h]), whole)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included
     denom = max(abs(v1), abs(v2)) + floor / REL_STEP_TOL
     return {
         "value": v1,
         "value_half_step": v2,
-        "step": h_used,
+        "step": h,
         "agreement": abs(v1 - v2) / denom,
         "corner_max": corner_max,
         "test_sup_norms": [float(np.max(np.abs(s))) for s in stack],
@@ -273,22 +265,20 @@ def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
 
 
 def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
-                 domain: GridDomain | None = None, step: float | None = None,
-                 return_responses: bool = False):
+                 domain: GridDomain | None = None, return_responses: bool = False):
     """Probe response |s(c)| of a k-fold bump at every grid cell; cells above
     tol * max response are marked. Degree 0 reports the empty support.
 
     Each probe is evaluated on a window of floor(r / spacing) + 2 cells each
     side of its node, shifted into the grid (the whole axis where that box
-    does not fit; the whole grid for a spec with a callable), see _gw_core.
+    does not fit; the whole grid for a spec with a callable), see _gw_core,
+    at the step _auto_step gives for its curvature on |x|^2.
     """
     dom = grid_domain(spec, domain)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if step is not None and not step > 0:
-        raise ValueError("step must be positive")
     if k == 0:
         mask = ScanMask(dom, np.zeros(dom.shape, dtype=bool))
         return (mask, np.zeros(dom.shape)) if return_responses else mask
@@ -296,11 +286,6 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         raise ValueError("probe_radius must be positive")
     base_vals, base_value = _base(spec, dom)
     pts = dom.points()
-    # probes sit on nodes and share the samples of this one up to the
-    # boundary; a probe off the nodes could sample to zero
-    mid = pts[np.ravel_multi_index(tuple(n // 2 for n in dom.shape), dom.shape)]
-    _, c2 = _test_function(Bump(mid, probe_radius, 1.0), dom)
-    h0 = step if step is not None else _auto_step(k, [c2])
     shape = np.array(dom.shape)
     half = shape
     if _local(spec):  # a bump vanishes beyond floor(r / spacing) cells
@@ -314,7 +299,10 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         # the values Bump(pts[c], probe_radius).sample(dom) has on the window
         phis = _bump_values(pts[cells.reshape(len(cells), -1)], pts[i:j], probe_radius)
         phis = phis.reshape((len(cells), 1) + window)
-        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h0, cells)[0]
+        # a window holds every nonzero sample of its probe and, on each side,
+        # two zero layers or the grid's edge: its curvature is the whole grid's
+        h = _auto_step(k, _curvature(phis[:, 0], dom.spacing))
+        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h, cells)[0]
 
     # a probe's temporaries: its 2k corner rows (steps h and h/2) on the
     # window, about three copies alive at once, and up to one n x n Hessian

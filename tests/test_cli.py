@@ -607,6 +607,33 @@ def test_decompose_refuses_a_huge_n_before_allocating(tmp_path):
     assert not (tmp_path / "out.data").exists()
 
 
+# a child that caps its own address space at 1.5 GB, then runs the CLI
+_CAPPED_MAIN = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+                "from epival.cli import main\nsys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("gw", "--grid=-2:2:10000000000"),  # 75 GiB of grid points
+    ("scan", "--grid=-2:2:400000000"),  # 3 GiB
+    ("seminorm", "--grid=-2:2:10000000000"),
+    ("embed", "--grid=-2:2:10000000000"),
+    ("transform", "--grid=-5:5:1000000000"),  # a 7.5 GiB dual grid, covering the slopes
+])
+def test_a_grid_too_large_for_memory_exits_3(tmp_path, command, grid):
+    argv = [a for a in _commands(tmp_path)[command] if not a.startswith("--grid")] + [grid]
+    if command == "transform":
+        argv = ["transform", "--op", "legendre", "--in", str(tmp_path / "f.json"),
+                "--out", str(tmp_path / "out.data"), grid]
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out.data").exists()
+
+
 GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
            "values": [1.0, 0.25, 0.0, 0.25, 1.0]}
 

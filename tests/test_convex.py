@@ -32,7 +32,6 @@ from epival import (
 )
 from epival import convex
 from epival.convex import _BLOCK, _convex_rows, _separable_max
-from epival.grids import _window_cells
 
 from helpers import (
     brute_chord_extension_1d,
@@ -105,50 +104,6 @@ def test_convexity_all_finite_stack_agrees_with_masked_stack():
     assert got.tolist() == [is_discretely_convex(ExtGridFn(d, r)) for r in stack]
     assert got.tolist() == [True] * 3 + [False, False, True, True, False, False]
     assert np.array_equal(_convex_rows(stack[:len(finite)]), got[:len(finite)])
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**16), data=st.data())
-def test_window_convexity_decides_as_the_whole_rows(seed, data):
-    """_convex_rows on windows, with top = max |base|, decides as on the
-    whole rows, for rows that are at least a base >= 0 that passes the check
-    and equal it except two or more cells inside every window edge that is
-    not a grid edge: a scan's corners, whose base is |x|^2 and whose bumps
-    are >= 0 at positive steps.
-
-    The base is c |x - x0|^2 + b, steep or flat. Of a probe's three rows,
-    one is the base, one adds noise >= 0 and one adds a spike that takes a
-    second difference to about -1e-9 (1 + q max|base|): for q < 1 the
-    whole rows' scale, not a window's own, often decides the outcome."""
-    rng = np.random.default_rng(seed)
-    n = data.draw(st.integers(1, 3))
-    shape = tuple(data.draw(st.integers(3, {1: 24, 2: 9, 3: 6}[n])) for _ in range(n))
-    window = tuple(data.draw(st.integers(3, m)) for m in shape)
-    dom = GridDomain([-1.0] * n, [1.0] * n, shape)
-    curv = data.draw(st.sampled_from([1.0, 1e-8]))
-    lift = data.draw(st.sampled_from([0.0, 10.0]))
-    base = curv * np.sum((dom.points() - rng.uniform(-1.0, 1.0, size=n))**2, axis=1) + lift
-    base = base.reshape(shape)
-    assume(_convex_rows(base[None])[0])
-    P, R = 8, 3
-    starts = np.stack([rng.integers(0, m - w + 1, size=P) for m, w in zip(shape, window)],
-                      axis=1)
-    lo = starts + 2 * (starts > 0)
-    hi = starts + np.array(window) - 2 * (starts + np.array(window) < np.array(shape))
-    rows = np.repeat(base[None, None], P * R, axis=0).reshape((P, R) + shape)
-    for p in range(P):
-        if np.any(lo[p] >= hi[p]):
-            continue
-        box = tuple(slice(a, b) for a, b in zip(lo[p], hi[p]))
-        amp = data.draw(st.sampled_from([1e-9, 1.0]))
-        rows[p, 1][box] += amp * np.abs(rng.normal(size=rows[p, 1][box].shape))
-        q = data.draw(st.sampled_from([0.5, 0.9, 1.1]))
-        spike = 2.0 * curv * np.min(dom.spacing) ** 2 + 1e-9 * (1.0 + q * np.max(base))
-        rows[p, 2][tuple(rng.integers(lo[p], hi[p]))] += spike / 2.0
-    cells = _window_cells(shape, window, starts)
-    win = np.stack([rows[p].reshape(R, -1)[:, cells[p]] for p in range(P)])
-    assert np.array_equal(_convex_rows(win.reshape((-1,) + window), top=np.max(base)),
-                          _convex_rows(rows.reshape((-1,) + shape)))
 
 
 def test_convexity_rejects_bad_inputs():

@@ -31,7 +31,7 @@ from epival import (
     support_scan,
     translate_covariance_residual,
 )
-from epival.convex import _discrete_c2_bound, central_hessian_at
+from epival.convex import _convex_rows, _curvature, central_hessian_at
 
 from helpers import (grid1d, grid2d, mixed_coeff_oracle, peak_floats, quadratic, sample,
                      subset_polarization)
@@ -314,43 +314,52 @@ def test_scan_does_not_depend_on_block_size(monkeypatch):
             support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1], whole[1])
 
 
-def _scan_steps(monkeypatch, *args, **kwargs):
-    """support_scan's mask and responses, the step each probe ended on and
-    the shape of the probes' windows."""
-    steps, windows, core = [], set(), epival.gw._gw_core
+def _scan_blocks(monkeypatch, *args, **kwargs):
+    """support_scan's mask and responses, and the base values, probe samples,
+    steps and window cells of each block it passes to _gw_core."""
+    blocks, core = [], epival.gw._gw_core
 
-    def recording(*a):
-        out = core(*a)
-        steps.append(out[2])
-        windows.add(a[-1].shape[1:])
-        return out
+    def recording(spec, dom, base_vals, base_value, phis, mults, h, cells):
+        blocks.append((base_vals, phis, h, cells))
+        return core(spec, dom, base_vals, base_value, phis, mults, h, cells)
 
     monkeypatch.setattr(epival.gw, "_gw_core", recording)
     mask, resp = support_scan(*args, return_responses=True, **kwargs)
     monkeypatch.undo()
-    window, = windows
-    return mask, resp, np.concatenate(steps).reshape(resp.shape), window
+    return mask, resp, blocks
 
 
-@pytest.mark.parametrize("k, step", [(1, 0.2), (2, 0.1)])
-def test_scan_probes_halve_their_own_step(monkeypatch, k, step):
-    d = grid2d(lo=-2.0, hi=2.0, n=17)
-    spec = hess2(d) if k == 2 else HessianDensity(1, hess2(d).weight, aux=[np.eye(2)])
-    radius = 0.5
-    _, resp, scan_steps, _ = _scan_steps(monkeypatch, spec, k, radius, domain=d, step=step)
-    peak = np.max(np.abs(resp))
-    steps = set()
-    # every fourth cell, the four corner cells among them; a probe's window
-    # sums fewer terms than the whole grid, so the base no longer cancels
-    # bit for bit
-    for c, r, h in zip(d.points()[::4], resp.ravel()[::4], scan_steps.ravel()[::4]):
-        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k, step=step),
-                           domain=d)
-        assert abs(r - report["value"]) <= 1e-10 * peak
-        assert h == report["step"]
-        steps.add(report["step"])
-    # the corner probes see little of their bump and keep the larger step
-    assert len(steps) > 1 and step in steps
+def _scan_steps(monkeypatch, *args, **kwargs):
+    """support_scan's mask and responses, the step of each probe and the
+    shape of the probes' windows."""
+    mask, resp, blocks = _scan_blocks(monkeypatch, *args, **kwargs)
+    window, = {cells.shape[1:] for *_, cells in blocks}
+    return mask, resp, np.concatenate([h for _, _, h, _ in blocks]).reshape(resp.shape), window
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scan_steps_keep_every_corner_convex_on_the_whole_grid(data):
+    """Each probe's step comes from the curvature of its window samples;
+    every corner |x|^2 + j h phi (j = 1..k, at h and h/2) of every probe,
+    embedded into the whole grid, passes the convexity check. The spec
+    cannot fail the agreement check, and corner convexity does not depend
+    on it."""
+    n = data.draw(st.integers(1, 3))
+    shape = [data.draw(st.integers(3, {1: 40, 2: 15, 3: 7}[n])) for _ in range(n)]
+    hi = np.array([data.draw(st.floats(0.5, 3.0)) for _ in range(n)])
+    dom = GridDomain(-hi, hi, shape)
+    k = data.draw(st.integers(1, 3))
+    radius = data.draw(st.floats(float(np.min(dom.spacing)) / 3, 3 * float(np.max(2 * hi))))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, _, blocks = _scan_blocks(monkeypatch, Constant(0.0), k, radius, domain=dom)
+    for base_vals, phis, h, cells in blocks:
+        P = len(h)
+        phi = np.zeros((P, dom.size))
+        np.put_along_axis(phi, cells.reshape(P, -1), phis[:, 0].reshape(P, -1), axis=1)
+        steps = np.concatenate([[j * h, j * h / 2.0] for j in range(1, k + 1)]).T
+        rows = base_vals.ravel() + steps[:, :, None] * phi[:, None]
+        assert np.all(h > 0) and np.all(_convex_rows(rows.reshape((-1,) + dom.shape)))
 
 
 def _window_specs(kind):
@@ -426,21 +435,19 @@ def test_scan_refuses_a_negative_tol():
 
 @pytest.mark.parametrize("step", [0.0, -0.05, float("nan")])
 def test_scan_and_gw_refuse_a_step_that_is_not_positive(step):
-    # refused before any work: a zero step would divide by zero, a NaN one
-    # would mark no cell, and the window convexity check holds only for
-    # probes added at positive steps
+    # refused before any work: a zero step would divide by zero and a NaN one
+    # would pass every check; a scan takes no step, it makes its own
     d = GridDomain([-2.0], [2.0], [65])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="step must be positive"):
-            support_scan(mu1(), 1, 0.3, domain=d, step=step)
         with pytest.raises(ValueError, match="step must be positive"):
             gw_report(mu1(), GWQuery(1, [Bump([0.0], 0.5, 1.0)], step=step), d)
 
 
 def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():
-    # the grid centre is no node, so a probe there samples to zero; the step
-    # must come from a probe on a node, or 10 halvings do not reach it
+    # a probe of radius under half a cell samples its own node only, and its
+    # step comes from that sample; the grid centre is no node, so a probe
+    # there would sample to zero
     d = GridDomain([-1.0], [1.0], [400])
     mask = support_scan(mu1(0.5), 1, 0.4 * float(d.spacing[0]), domain=d)
     x = d.points()[mask.marked.ravel(), 0]
@@ -448,7 +455,7 @@ def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():
     assert np.all(np.min(np.abs(x[:, None] - [-0.5, 0.0, 0.5]), axis=1) < d.spacing[0])
 
 
-# --------------------------------------------------- the sampled C2 bound
+# ---------------------------------------------------- the sampled curvature
 
 def _cube(n):
     """[-1, 1]^n with 33, 17 or 9 samples per axis."""
@@ -481,8 +488,19 @@ def test_default_step_comes_from_the_samples_and_is_never_halved(data):
         spec = HessianDensity(k, Bump(np.zeros(n), 0.5, 1.0).sample(dom),
                               [np.eye(n)] * (n - k))
     report = gw_report(spec, GWQuery(k, tests), dom)
-    c2 = max(_discrete_c2_bound(b.sample(dom)) for b in tests)
-    assert report["step"] == min(0.1, 1.0 / (k * max(c2, 1e-12)))
+    curv = max(_curvature(b.sample(dom).values[None], dom.spacing)[0] for b in tests)
+    assert report["step"] == min(0.1, 1.0 / (k * max(curv, 1e-12)))
+
+
+def test_gw_report_halves_a_given_step_until_its_corners_are_convex():
+    d = grid2d(lo=-2.0, hi=2.0, n=33)
+    spec = hess2(d)
+    tests = [Bump([0.3, 0.0], 0.6, 1.0), Bump([-0.2, 0.1], 0.5, 1.0)]
+    default = gw_report(spec, GWQuery(2, tests), d)
+    step = 64.0 * default["step"]
+    report = gw_report(spec, GWQuery(2, tests, step=step), d)
+    assert step / report["step"] in [2.0**j for j in range(1, epival.gw._MAX_HALVINGS + 1)]
+    assert abs(report["value"] - default["value"]) <= 1e-10 * report["corner_max"]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import ast
+import os
 import subprocess
 import sys
 
@@ -59,3 +61,19 @@ def test_only_the_cli_freezes_the_import_heap(modules, frozen):
     out = subprocess.run([sys.executable, "-c", code, *modules], env=child_env(),
                          capture_output=True, text=True, check=True).stdout
     assert (int(out) > 0) == frozen
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    package = os.path.dirname(epival.__file__)
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{node.lineno} {bound}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for bound in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if bound not in read]
+    assert unused == []
