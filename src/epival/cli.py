@@ -130,8 +130,7 @@ def cmd_gw(args, spec):
     domain = _parsed("--grid", _grid, args.grid)
     tests = [_parsed("--bump", _bump, b) for b in args.bump]
     tests += [serialize.load_grid_fn(p) for p in args.test]
-    base = serialize.load_grid_fn(args.base) if args.base else None
-    query = gw.GWQuery(args.k, tests, base=base, step=args.h)
+    query = gw.GWQuery(args.k, tests)
     return (gw._diagonality if args.diagonality else gw.gw_report)(spec, query, domain)
 
 
@@ -202,9 +201,7 @@ def build_parser():
                    help="center:radius:amplitude, e.g. 0.5,0:0.4:1")
     g.add_argument("--test", action="append", default=[],
                    help="grid-function file used as a test function")
-    g.add_argument("--base", default=None)
     g.add_argument("--grid", default=None, help="lo:hi:shape, comma-separated")
-    g.add_argument("--h", type=finite, default=None)
     g.add_argument("--diagonality", action="store_true")
 
     s = command("scan", cmd_scan, "support scan mask", out="data")

@@ -679,8 +679,8 @@ def central_hessian_at(values, spacing, idx):
 
 def _test_function(phi, domain: GridDomain):
     """Values on `domain` and the curvature of a test function, read from its
-    samples: a Bump is sampled on `domain`, a grid function must live there
-    and be finite everywhere."""
+    samples: a Bump is sampled on `domain`, a grid function must live there.
+    Both must be finite everywhere, and so must their curvature."""
     if isinstance(phi, Bump):
         phi = phi.sample(domain)
     elif not isinstance(phi, ExtGridFn):
@@ -689,7 +689,11 @@ def _test_function(phi, domain: GridDomain):
         raise ValueError("test function domain mismatch")
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("phi must be finite everywhere")
-    return phi.values, float(_curvature(phi.values[None], domain.spacing)[0])
+    with np.errstate(over="ignore"):
+        curvature = float(_curvature(phi.values[None], domain.spacing)[0])
+    if curvature == np.inf:
+        raise ValueError("the curvature of phi overflows the float range")
+    return phi.values, curvature
 
 
 def convex_split(phi, domain: GridDomain | None = None):

@@ -2,7 +2,8 @@
 
 
 class ConvexityViolation(ValueError):
-    """An input (or a derived corner function) failed the discrete convexity test."""
+    """An input (or the base |x|^2 of a mixed difference) failed the discrete
+    convexity test."""
 
 
 class DomainExceeded(ValueError):

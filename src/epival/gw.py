@@ -5,15 +5,18 @@ The Goodey-Weil pairing extracts the mixed first-order coefficient of
 mu(f + sum_i delta_i phi_i) through an exact corner difference (2^k corners
 for distinct tests, k + 1 for identical ones); for a k-homogeneous valuation
 the polynomial has total degree at most k, so the extraction is independent
-of the step size, which the implementation verifies by re-running at half
-the step. Many probes are evaluated at once: their corners form one stack.
+of the base and of the step size, which the implementation verifies by
+re-running at half the step. So both are fixed: the base is |x|^2 and the
+step comes from the tests' curvature, which keeps every corner convex
+(_auto_step), and no run checks a corner. Many probes are evaluated at
+once: their corners form one stack.
 
 A corner differs from the base only where its tests do not vanish, so a
 support scan evaluates each probe on a window of O(probe support) cells, in
 the valuation's window form, whose terms beyond the window cancel in the
-mixed difference; each probe's step comes from its own curvature, which
-keeps its corners convex. gw_report is the same computation with the whole
-grid as its one window, on which the window form is the valuation itself.
+mixed difference, at the step of its own curvature. gw_report is the same
+computation with the whole grid as its one window, on which the window form
+is the valuation itself.
 """
 
 from dataclasses import dataclass
@@ -22,8 +25,7 @@ from math import comb, factorial, inf, prod
 
 import numpy as np
 
-from .convex import (_by_rows, _convex_rows, _curvature, _extend, _test_function,
-                     is_discretely_convex)
+from .convex import _by_rows, _curvature, _extend, _test_function, is_discretely_convex
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import ExtGridFn, GridDomain, ScanMask, _bump_values, _dilate, _window_cells
 from .sampling import random_convex_fn
@@ -31,34 +33,28 @@ from .valuations import (PairingMeasure, _evaluate_stack, _evaluate_windows, _lo
                          _read_mask, evaluate, grid_domain)
 
 REL_STEP_TOL = 1e-7
-_MAX_HALVINGS = 10
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
 class GWQuery:
-    """Order, test functions (Bump or grid), optional base and step.
+    """Order and test functions (Bump or grid) of a Goodey-Weil pairing.
 
-    The default base is |x|^2 on the resolved domain; the default step is
-    min(0.1, 1/(k * max curvature of the tests' samples)), at which corners
-    on that base are convex (see convex._curvature). A given base or step is
-    checked, and corners that are not convex halve the step.
+    It is evaluated at the base |x|^2 on the resolved domain and the step
+    min(0.1, 1/(k * max curvature of the tests' samples)), at which every
+    corner is convex (see convex._curvature).
     """
 
     order: int
     tests: tuple
-    base: ExtGridFn | None = None
-    step: float | None = None
 
-    def __init__(self, order, tests, base=None, step=None):
+    def __init__(self, order, tests):
         order = int(order)
         tests = tuple(tests)
         if order < 1 or len(tests) != order:
             raise ValueError("need exactly `order` test functions, order >= 1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "tests", tests)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "step", step)
 
 
 def polarize(spec, k: int, fs) -> float:
@@ -87,11 +83,11 @@ def polarize(spec, k: int, fs) -> float:
     return float(_difference(plan, 0.0, vals[None, 2:], 1.0, k)[0])
 
 
-def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
-    """Values and mu-value of the base function of a mixed difference:
-    |x|^2 on `domain` unless given; refused unless discretely convex."""
-    if base is None:
-        base = ExtGridFn(domain, np.sum(domain.points()**2, axis=1).reshape(domain.shape))
+def _base(spec, domain: GridDomain):
+    """Values and mu-value of |x|^2 on `domain`, the base of every mixed
+    difference. _auto_step's certificate rests on its samples being convex:
+    one check of the base, not of the corners, confirms it."""
+    base = ExtGridFn(domain, np.sum(domain.points()**2, axis=1).reshape(domain.shape))
     if not is_discretely_convex(base):
         raise ConvexityViolation("base function is not convex")
     return base.values, evaluate(spec, base)
@@ -99,8 +95,10 @@ def _base(spec, domain: GridDomain, base: ExtGridFn | None = None):
 
 def _auto_step(k, curvature):
     """The step at which k tests of at most this curvature (a number or an
-    array) keep every corner on |x|^2 convex."""
-    return np.minimum(0.1, 1.0 / (k * np.maximum(curvature, 1e-12)))
+    array) keep every corner on |x|^2 convex; 0 where k * curvature
+    overflows."""
+    with np.errstate(over="ignore"):
+        return np.minimum(0.1, 1.0 / (k * np.maximum(curvature, 1e-12)))
 
 
 def _multiset(tests):
@@ -200,29 +198,18 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
 
 def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     """Goodey-Weil pairing value with the half-step verification data."""
-    dom = grid_domain(spec, domain if query.base is None else query.base.domain)
+    dom = grid_domain(spec, domain)
     k = query.order
     stack, curvatures = zip(*(_test_function(phi, dom) for phi in query.tests))
-    h = query.step if query.step is not None else float(_auto_step(k, max(curvatures)))
-    if not h > 0:  # NaN included
+    h = float(_auto_step(k, max(curvatures)))
+    if not h > 0:  # k * curvature overflowed
         raise ValueError("step must be positive")
-    base_vals, base_value = _base(spec, dom, query.base)
+    base_vals, base_value = _base(spec, dom)
     distinct, mults = _multiset(stack)
-    phis, plan = np.stack(distinct)[None], _corner_plan(mults)
-    # the default base and step are convex corners by _auto_step's rule; a
-    # given base or step halves until its corners at h and h/2 are convex
-    for _ in range(_MAX_HALVINGS + 1):
-        corners = _corners(base_vals[None], phis, plan, np.array([[h, h / 2.0]]))
-        if np.all(_convex_rows(corners.reshape((-1,) + dom.shape))):
-            break
-        h /= 2.0
-    else:
-        raise ConvexityViolation("no admissible step found after halvings: corner "
-                                 "functions are not convex")
-    del corners
     whole = np.arange(dom.size).reshape((1,) + dom.shape)
     v1, v2, corner_max, floor = (float(v) for v in _gw_core(
-        spec, dom, base_vals, base_value, phis, mults, np.array([h]), whole)[:, 0])
+        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, np.array([h]),
+        whole)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included
     denom = max(abs(v1), abs(v2)) + floor / REL_STEP_TOL
@@ -245,7 +232,7 @@ def _diagonality(spec, query: GWQuery, domain: GridDomain | None = None) -> dict
     cells where their samples do not vanish, are at least two empty cells
     apart: a Hessian stencil reads its 3^n box, so no cell then sees two
     tests."""
-    dom = grid_domain(spec, domain if query.base is None else query.base.domain)
+    dom = grid_domain(spec, domain)
     grown = [_dilate(_test_function(phi, dom)[0] != 0.0) for phi in query.tests]
     for i in range(len(grown)):
         for j in range(i + 1, len(grown)):
@@ -256,18 +243,17 @@ def _diagonality(spec, query: GWQuery, domain: GridDomain | None = None) -> dict
     return dict(report, residual=abs(report["value"]))
 
 
-def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None,
-                         base: ExtGridFn | None = None,
-                         step: float | None = None) -> float:
+def diagonality_residual(spec, k: int, bumps, domain: GridDomain | None = None) -> float:
     """|gw_eval| for test functions whose supports (the cells where their
     samples do not vanish) are at least two empty cells apart."""
-    return _diagonality(spec, GWQuery(k, bumps, base=base, step=step), domain)["residual"]
+    return _diagonality(spec, GWQuery(k, bumps), domain)["residual"]
 
 
 def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
                  domain: GridDomain | None = None, return_responses: bool = False):
     """Probe response |s(c)| of a k-fold bump at every grid cell; cells above
-    tol * max response are marked. Degree 0 reports the empty support.
+    tol * max response and above their own noise floor (see _gw_core) are
+    marked. Degree 0 reports the empty support.
 
     Each probe is evaluated on a window of floor(r / spacing) + 2 cells each
     side of its node, shifted into the grid (the whole axis where that box
@@ -302,18 +288,16 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         # a window holds every nonzero sample of its probe and, on each side,
         # two zero layers or the grid's edge: its curvature is the whole grid's
         h = _auto_step(k, _curvature(phis[:, 0], dom.spacing))
-        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h, cells)[0]
+        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h, cells)[[0, 3]].T
 
     # a probe's temporaries: its 2k corner rows (steps h and h/2) on the
     # window, about three copies alive at once, and up to one n x n Hessian
     # per inner window cell, with as much again for the stencils and the
     # mixed determinant
     width = 2 * k * (3 * prod(window) + 2 * dom.ndim**2 * prod(w - 2 for w in window))
-    responses = _by_rows(dom.size, width, block).reshape(dom.shape)
-    peak = float(np.max(np.abs(responses)))
-    marked = np.abs(responses) > tol * peak if peak > 0 else \
-        np.zeros(dom.shape, dtype=bool)
-    mask = ScanMask(dom, marked)
+    responses, floors = _by_rows(dom.size, width, block).T.reshape((2,) + dom.shape)
+    size = np.abs(responses)
+    mask = ScanMask(dom, size > np.maximum(tol * np.max(size), floors))
     return (mask, responses) if return_responses else mask
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -625,13 +626,33 @@ def test_a_grid_too_large_for_memory_exits_3(tmp_path, command, grid):
     if command == "transform":
         argv = ["transform", "--op", "legendre", "--in", str(tmp_path / "f.json"),
                 "--out", str(tmp_path / "out.data"), grid]
+    _assert_capped_run_fails(tmp_path, argv, 3)
+
+
+def _assert_capped_run_fails(tmp_path, argv, code):
+    """The CLI, capped at 1.5 GB, exits `code` with one error line and
+    writes no output."""
     run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=child_env(),
                          capture_output=True, text=True, timeout=60)
-    assert run.returncode == 3
+    assert run.returncode == code
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out.data").exists()
+
+
+def test_a_grid_file_declaring_a_huge_shape_exits_2(tmp_path):
+    # 10^10 cells declared, 9 values held: refused before any allocation
+    (tmp_path / "big.json").write_text(json.dumps(
+        {"domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "shape": [100000, 100000]},
+         "values": [0.0] * 9}))
+    _assert_capped_run_fails(tmp_path, [
+        "transform", "--op", "legendre", "--in", str(tmp_path / "big.json"),
+        "--out", str(tmp_path / "out.data")], 2)
+
+
+def test_a_huge_scan_order_exits_3(tmp_path):
+    _assert_capped_run_fails(tmp_path, _commands(tmp_path)["scan"] + ["--k", "1000"], 3)
 
 
 GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
@@ -791,7 +812,6 @@ def test_seminorm_echoes_its_seed(tmp_path, capsys):
     ("scan", "--probe-radius", "inf"),
     ("transform", "--r", "-inf"),
     ("transform", "--r", "one"),
-    ("gw", "--h", "NaN"),
     ("gw", "--bump", "nan:0.7:1"),
     ("gw", "--bump", "0.3:inf:1"),
     ("gw", "--bump", "0.3:0.7:-inf"),
@@ -803,6 +823,18 @@ def test_non_finite_numbers_exit_2_and_write_nothing(tmp_path, capsys, command, 
     assert _exit_code(argv) == 2
     assert capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_gw_test_whose_curvature_overflows_exits_3_with_one_line(tmp_path, capsys):
+    # its step would be 0; refused without a numpy warning
+    write_mu1(tmp_path / "mu1.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1",
+                   "--grid=-2:2:33", "--bump=0:0.5:1e308"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "curvature" in err
 
 
 def test_gw_bump_of_another_dimension_exits_3(tmp_path, capsys):

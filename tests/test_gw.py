@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from epival import (
     Bump,
     Composite,
     Constant,
-    ConvexityViolation,
     DomainExceeded,
     ExtGridFn,
     GWQuery,
@@ -152,7 +152,7 @@ def test_gw_hessian_matches_delta_stencil_oracle():
         return evaluate(spec, g)
 
     oracle = mixed_coeff_oracle(mu_at, 2, 2, h=h) / 2.0
-    got = gw_eval(spec, GWQuery(2, [b1, b2], base=base), domain=d)
+    got = gw_eval(spec, GWQuery(2, [b1, b2]), domain=d)
     assert got == pytest.approx(oracle, rel=1e-7, abs=1e-9)
     # and against the quadrature of the mixed determinant of the bump Hessians
     supp = np.argwhere(spec.weight.values != 0.0)
@@ -186,13 +186,6 @@ def test_gw_step_agreement_guard_fires_for_non_polynomial_probe():
 
     with pytest.raises(StepAgreementError):
         gw_eval(fake, GWQuery(1, [Bump([0.0], 0.5, 1.0)]), domain=d)
-
-
-def test_gw_rejects_nonconvex_base():
-    d = GridDomain([-2.0], [2.0], [65])
-    bad = sample(d, lambda p: -p[:, 0] ** 2)
-    with pytest.raises(ConvexityViolation):
-        gw_eval(mu1(), GWQuery(1, [Bump([0.0], 0.5, 1.0)], base=bad), domain=d)
 
 
 # ------------------------------------------------------------- diagonality
@@ -402,7 +395,8 @@ def test_scan_windows_match_the_whole_grid(monkeypatch, kind):
     assert np.max(np.abs(resp - whole)) <= 1e-10 * peak
     every = d.size // 40  # about 40 cells
     for c, r, h in zip(d.points()[::every], resp.ravel()[::every], steps.ravel()[::every]):
-        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k, step=h), domain=d)
+        # gw_report reaches the scan's step on its own
+        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k), domain=d)
         assert abs(r - report["value"]) <= 1e-10 * peak
         assert report["step"] == h
 
@@ -433,15 +427,37 @@ def test_scan_refuses_a_negative_tol():
         support_scan(mu1(), 1, 0.3, tol=-1.0, domain=GridDomain([-2.0], [2.0], [65]))
 
 
-@pytest.mark.parametrize("step", [0.0, -0.05, float("nan")])
-def test_scan_and_gw_refuse_a_step_that_is_not_positive(step):
-    # refused before any work: a zero step would divide by zero and a NaN one
-    # would pass every check; a scan takes no step, it makes its own
-    d = GridDomain([-2.0], [2.0], [65])
+def _spike(d):
+    """A grid test function whose second difference overflows."""
+    values = np.zeros(d.shape)
+    values[16], values[15] = 1e308, -1e308
+    return ExtGridFn(d, values)
+
+
+@pytest.mark.parametrize("tests, message", [
+    ([Bump([0.0], 0.5, 1e308)], "curvature of phi overflows"),
+    ([_spike(GridDomain([-2.0], [2.0], [33]))], "curvature of phi overflows"),
+    # a finite curvature c, but k * c overflows: the step would be 0
+    ([Bump([0.0], 0.3, 3e306)] * 2, "step must be positive"),
+], ids=["bump", "grid", "k-times-curvature"])
+def test_gw_refuses_a_test_whose_curvature_overflows(tests, message):
+    # refused before any work, and without a numpy warning: a zero step
+    # would divide by zero
+    d = GridDomain([-2.0], [2.0], [33])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="step must be positive"):
-            gw_report(mu1(), GWQuery(1, [Bump([0.0], 0.5, 1.0)], step=step), d)
+        with pytest.raises(ValueError, match=message):
+            gw_report(mu1(0.5), GWQuery(len(tests), tests), d)
+
+
+def test_scan_marks_no_response_within_its_noise_floor():
+    # above its degree a pairing's responses are rounding noise, below their
+    # floors, however small tol * peak is
+    d = GridDomain([-2.0], [2.0], [33])
+    masks = {k: support_scan(mu1(0.5), k, 0.5, domain=d) for k in (1, 2, 3)}
+    assert masks[1].count == 15
+    assert np.flatnonzero(masks[1].marked).tolist() == list(range(9, 24))
+    assert masks[2].count == masks[3].count == 0
 
 
 def test_scan_step_on_an_even_grid_with_a_sub_cell_probe():
@@ -473,11 +489,17 @@ def _random_bumps(data, domain, count):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
-def test_default_step_comes_from_the_samples_and_is_never_halved(data):
+def test_default_step_comes_from_the_samples_and_keeps_every_corner_convex(data):
+    """gw_report's step comes from the curvature of its tests' samples, and
+    every corner |x|^2 + s sum_{i in S} phi_i (S a nonempty subset of the
+    tests, s = h or h/2) passes the convexity check on the whole grid."""
     n = data.draw(st.integers(1, 3))
     dom = _cube(n)
     k = data.draw(st.integers(1, n))
     tests = _random_bumps(data, dom, k)
+    if data.draw(st.booleans()):  # rough grid tests, as from a --test file
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tests = [ExtGridFn(dom, rng.uniform(-3.0, 3.0, dom.shape)) for _ in tests]
     if data.draw(st.booleans()):
         tests = [tests[0]] * k  # identical tests: the binomial corners
     if k == 1:
@@ -488,19 +510,15 @@ def test_default_step_comes_from_the_samples_and_is_never_halved(data):
         spec = HessianDensity(k, Bump(np.zeros(n), 0.5, 1.0).sample(dom),
                               [np.eye(n)] * (n - k))
     report = gw_report(spec, GWQuery(k, tests), dom)
-    curv = max(_curvature(b.sample(dom).values[None], dom.spacing)[0] for b in tests)
-    assert report["step"] == min(0.1, 1.0 / (k * max(curv, 1e-12)))
-
-
-def test_gw_report_halves_a_given_step_until_its_corners_are_convex():
-    d = grid2d(lo=-2.0, hi=2.0, n=33)
-    spec = hess2(d)
-    tests = [Bump([0.3, 0.0], 0.6, 1.0), Bump([-0.2, 0.1], 0.5, 1.0)]
-    default = gw_report(spec, GWQuery(2, tests), d)
-    step = 64.0 * default["step"]
-    report = gw_report(spec, GWQuery(2, tests, step=step), d)
-    assert step / report["step"] in [2.0**j for j in range(1, epival.gw._MAX_HALVINGS + 1)]
-    assert abs(report["value"] - default["value"]) <= 1e-10 * report["corner_max"]
+    phis = np.stack([t.sample(dom).values if isinstance(t, Bump) else t.values
+                     for t in tests])
+    h = report["step"]
+    assert h == min(0.1, 1.0 / (k * max(np.max(_curvature(phis, dom.spacing)), 1e-12)))
+    sums = np.stack([phis[list(S)].sum(axis=0) for r in range(1, k + 1)
+                     for S in combinations(range(k), r)])
+    base = np.sum(dom.points()**2, axis=1).reshape(dom.shape)
+    corners = np.concatenate([base + s * sums for s in (h, h / 2.0)])
+    assert np.all(_convex_rows(corners))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
