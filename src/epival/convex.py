@@ -176,13 +176,17 @@ def _line_max(p, x, y):
     p of the (N, L) array p and each y_j of the increasing y, bit for bit the
     direct maximum, in O(L (N log M + M)) work and O(L (N + M)) memory.
 
-    Every s-th dual point and the last are taken over whole lines, in one
-    block of about 8 (N + M) terms per line; on short axes that is every
-    point. The rest are taken by bisection: the middle m of each interval
-    (l, r) of known points, over the window from the maximizer k_l found at
-    l less w cells to the one found at r plus w cells. With c the fewest
-    dual steps from a middle point to its interval's ends, dy and h the
-    smallest dual and primal steps, u the unit roundoff and
+    On short axes, where N (M - 1) <= 8 (N + M), every dual point is taken
+    over whole lines in one block: the direct maximum. Otherwise every s-th
+    dual point and the last, with s = ceil(N (M - 1) / (8 (N + M))), are
+    taken over whole lines, in chunks of about 2 (N + M) terms per line
+    with the cells last: argmax along them gives each line's first
+    maximizer k, and fl(fl(y_j x_k) + p_k), evaluated again, is the maximum,
+    bit for bit. The rest are taken by bisection: the middle m of each
+    interval (l, r) of known points, over the window from the maximizer k_l
+    found at l less w cells to the one found at r plus w cells. With c the
+    fewest dual steps from a middle point to its interval's ends, dy and h
+    the smallest dual and primal steps, u the unit roundoff and
     D = u (2 max|y| max|x| + max|p|) over finite p, w = floor(8 D / (c dy h)).
     On ordinary grids 8 D is far below dy h and w is 0.
 
@@ -211,22 +215,26 @@ def _line_max(p, x, y):
     """
     n, rows = p.shape
     budget = 8 * rows * (n + y.size)
+    s = max(1, -(-n * (y.size - 1) // (8 * (n + y.size))))
+    if s == 1:  # every dual point: the direct maximum
+        return (np.multiply.outer(x, y)[:, :, None] + p[:, None, :]).max(axis=0)
     out = np.empty((y.size, rows))
     arg = np.empty((y.size, rows), dtype=np.intp)
-    s = max(1, -(-n * (y.size - 1) // (8 * (n + y.size))))
+    flat, xs = p.T.ravel(), np.tile(x, rows)    # line by line
+    lines, every = flat.reshape(rows, n), np.arange(rows)
     ends = np.append(np.arange(0, y.size - 1, s), y.size - 1)
-    g = np.multiply.outer(x, y[ends])[:, :, None] + p[:, None, :]
-    out[ends] = g.max(axis=0)
-    if s == 1:
-        return out
-    arg[ends] = (g == out[ends]).argmax(axis=0)
-    del g
+    per = max(1, 2 * (n + y.size) // n)         # dual points per first-block chunk
+    for j in range(0, ends.size, per):
+        e = ends[j:j + per]
+        g = np.multiply.outer(y[e], x)[:, None, :] + lines
+        k = arg[e] = g.argmax(axis=2)           # the first maximizer on each line
+        del g
+        out[e] = y[e, None] * x[k] + p[k, every]    # its term, the same bits
 
     # 8 D and dy h as Python floats; 8 u = 4 eps
     d8 = 4 * np.finfo(float).eps * float(2 * np.max(np.abs(y)) * np.max(np.abs(x))
                                          + np.max(np.abs(p), where=np.isfinite(p), initial=0.0))
     step = float(np.min(np.diff(y)) * np.min(np.diff(x)))
-    flat, xs = p.T.ravel(), np.tile(x, rows)    # line by line
     first_cell = np.arange(rows) * n
     left, right = ends[:-1], ends[1:]
     while True:
@@ -375,6 +383,9 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
     strided = (strided & fin).ravel()
     src, sv = pts[strided], vals[strided]
     out, work = np.empty(vals.size), np.empty(2 * tp.shape[1] * sv.size)
+    # kept boxes are taken `per` at a time, so the buffer holds at most 24
+    # floats per grid cell however many boxes a box keeps
+    per = max(1, 12 * vals.size // tp.shape[1] ** 2)
     for a, box in enumerate(tp):
         # ub(x), the minimum over the strided sources, is attained and so an
         # upper bound. Box a skips box b when min_b f + L dist(a, b) > max_a
@@ -392,10 +403,15 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
         reach = L * np.sqrt(sq)
         slack = 1e-12 * (np.abs(vmin) + reach + np.abs(ubmax))
         kept = np.flatnonzero(np.isfinite(vmin) & (vmin + reach <= ubmax + slack))
-        if work.size < 2 * tp.shape[1] ** 2 * kept.size:
-            work = np.empty(2 * tp.shape[1] ** 2 * kept.size)
-        out[cells[a]] = _cone_min(box, tp[kept].reshape(-1, box.shape[1]), tv[kept].ravel(),
-                                  L, work)
+        need = 2 * tp.shape[1] ** 2 * min(kept.size, per)
+        if work.size < need:
+            del work  # before its successor, so the two never coexist
+            work = np.empty(need)
+        best = np.inf
+        for part in np.split(kept, range(per, kept.size, per)):
+            best = np.minimum(best, _cone_min(box, tp[part].reshape(-1, box.shape[1]),
+                                              tv[part].ravel(), L, work))
+        out[cells[a]] = best
     return ExtGridFn(f.domain, out.reshape(f.domain.shape))
 
 

@@ -19,6 +19,7 @@ computation with the whole grid as its one window, on which the window form
 is the valuation itself.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, inf, prod
@@ -34,11 +35,21 @@ from .valuations import (PairingMeasure, _evaluate_stack, _evaluate_windows, _lo
 
 REL_STEP_TOL = 1e-7
 _EPS = np.finfo(float).eps
+# The largest order k of a pairing, polarization or scan. It is refused
+# before any corner is built: k + 1 to 2^k corners of the grid or of each
+# probe's window, and binomial weights that overflow from k near 1030 on.
+_MAX_ORDER = 16
+
+
+def _check_order(k):
+    if k > _MAX_ORDER:
+        raise ValueError(f"k must be at most {_MAX_ORDER}")
 
 
 @dataclass(frozen=True, eq=False)
 class GWQuery:
-    """Order and test functions (Bump or grid) of a Goodey-Weil pairing.
+    """Order (1 to _MAX_ORDER) and test functions (Bump or grid) of a
+    Goodey-Weil pairing.
 
     It is evaluated at the base |x|^2 on the resolved domain and the step
     min(0.1, 1/(k * max curvature of the tests' samples)), at which every
@@ -50,6 +61,7 @@ class GWQuery:
 
     def __init__(self, order, tests):
         order = int(order)
+        _check_order(order)
         tests = tuple(tests)
         if order < 1 or len(tests) != order:
             raise ValueError("need exactly `order` test functions, order >= 1")
@@ -65,6 +77,7 @@ def polarize(spec, k: int, fs) -> float:
     equal inputs take k + 1 evaluations. Requires mu to be k-homogeneous
     (verified on the first argument).
     """
+    _check_order(k)
     fs = list(fs)
     if len(fs) != k or k < 1:
         raise ValueError("need exactly k functions")
@@ -253,7 +266,8 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
                  domain: GridDomain | None = None, return_responses: bool = False):
     """Probe response |s(c)| of a k-fold bump at every grid cell; cells above
     tol * max response and above their own noise floor (see _gw_core) are
-    marked. Degree 0 reports the empty support.
+    marked. Degree 0 reports the empty support; k above _MAX_ORDER is
+    refused.
 
     Each probe is evaluated on a window of floor(r / spacing) + 2 cells each
     side of its node, shifted into the grid (the whole axis where that box
@@ -263,6 +277,7 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     dom = grid_domain(spec, domain)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _check_order(k)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if k == 0:
@@ -340,14 +355,17 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     sample's canonical extension (extend_from_subdomain, with all its checks)
     is computed at the cells mu reads, so the estimate only ever sees
     canonical extensions of box data; when those cells lie in the source box
-    no hull is built. Deterministic in `seed`; the sample stream makes the
-    estimate monotone in n_samples.
+    no hull is built. Deterministic in `seed`, a nonnegative integer that
+    seeds a stdlib random.Random (random_convex_fn); the sample stream makes
+    the estimate monotone in n_samples.
     """
     dom = grid_domain(spec, domain)
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
     A_hi = np.atleast_1d(np.asarray(A_hi, dtype=float))
     if s <= 0 or n_samples < 1:
         raise ValueError("need s > 0 and at least one sample")
+    if seed < 0:  # random.Random would take abs(seed)
+        raise ValueError("seed must be nonnegative")
     pad = 1e-9 * np.maximum(1.0, np.abs(dom.hi - dom.lo))
     if np.any(A_lo - 2 * s < dom.lo - pad) or np.any(A_hi + 2 * s > dom.hi + pad):
         raise DomainExceeded("norm box exceeds the grid domain")
@@ -358,8 +376,8 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
         raise ValueError("the norm box holds fewer than two grid cells")
     center = (A_lo + A_hi) / 2.0
     reads = _read_mask(spec, dom)
-    rng = np.random.default_rng(seed)
-    exts = []
+    rng = random.Random(seed)
+    exts = np.empty((n_samples,) + dom.shape)
     for i in range(n_samples):
         if i == 0:
             dist = dom.point_norms(center)
@@ -371,5 +389,5 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
         m = float(np.max(np.abs(f.values[norm_box])))
         if m > 0:
             f = ExtGridFn(dom, f.values / m)
-        exts.append(_extend(f, A_lo, A_hi, s, reads))
-    return float(np.max(np.abs(_evaluate_stack(spec, dom, np.stack(exts)))))
+        exts[i] = _extend(f, A_lo, A_hi, s, reads)
+    return float(np.max(np.abs(_evaluate_stack(spec, dom, exts))))

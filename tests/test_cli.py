@@ -655,6 +655,30 @@ def test_a_huge_scan_order_exits_3(tmp_path):
     _assert_capped_run_fails(tmp_path, _commands(tmp_path)["scan"] + ["--k", "1000"], 3)
 
 
+@pytest.mark.parametrize("command", ["polarize", "gw", "scan"])
+def test_an_order_above_the_cap_exits_3_before_building_corners(tmp_path, capsys, monkeypatch,
+                                                               command):
+    def no_corners(*args, **kwargs):
+        raise AssertionError("corners were built")
+
+    monkeypatch.setattr(epival.gw, "_corners", no_corners)
+    commands, cap = _commands(tmp_path), epival.gw._MAX_ORDER
+
+    def argv(k):  # k tests or inputs where the command takes them
+        extra = {"polarize": ["--inputs"] + [str(tmp_path / "f.json")] * k,
+                 "gw": ["--bump=0.3:0.7:1"] * (k - 1), "scan": []}[command]
+        return commands[command] + ["--k", str(k)] + extra
+
+    with pytest.raises(AssertionError, match="corners were built"):
+        main(argv(cap))
+    capsys.readouterr()
+    assert main(argv(cap + 1)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: k must be at most {cap}\n"
+    assert not (tmp_path / "out.data").exists()
+
+
 GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
            "values": [1.0, 0.25, 0.0, 0.25, 1.0]}
 
@@ -729,6 +753,19 @@ def test_seminorm_loads_scipy_only_for_reads_outside_the_box(tmp_path, nodes, sc
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == f"0 {scipy_loaded}"
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random brings secrets, hmac and OpenSSL, about 5.5 MB of RSS
+    commands = _commands(tmp_path)
+    code = ("import sys\nfrom epival.cli import main\nloaded = {}\n"
+            f"for name, argv in {commands!r}.items():\n"
+            "    assert main(argv) == 0, name\n"
+            "    loaded[name] = 'numpy.random' in sys.modules\n"
+            "print(loaded)")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert ast.literal_eval(out.splitlines()[-1]) == dict.fromkeys(commands, False)
 
 
 @pytest.mark.parametrize("marked", [[0.5, 1, 1, 1, 0], [0, 1, True, 1, 0],
@@ -898,7 +935,8 @@ def test_text_options_exit_0_2_or_3(tmp_path, capsys, option, text):
 @settings(derandomize=True, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_option=st.sampled_from([("polarize", "--k"), ("gw", "--k"), ("scan", "--k"),
-                                       ("decompose", "--n"), ("seminorm", "--samples")]),
+                                       ("decompose", "--n"), ("seminorm", "--samples"),
+                                       ("seminorm", "--seed")]),
        value=st.integers(-3, 6))
 def test_integer_options_exit_0_2_or_3(tmp_path, capsys, command_option, value):
     command, option = command_option

@@ -568,6 +568,13 @@ def test_seminorm_monotone_and_deterministic():
         seminorm_estimate(mu1(), [-1.9], [1.9], 0.2, 4, seed=1, domain=d)
 
 
+def test_seminorm_refuses_a_negative_seed():
+    # random.Random(-7) would draw the samples of seed 7
+    d = GridDomain([-2.0], [2.0], [81])
+    with pytest.raises(ValueError, match="seed"):
+        seminorm_estimate(mu1(), [-1.2], [1.2], 0.2, 4, seed=-7, domain=d)
+
+
 @pytest.mark.parametrize("A_lo, A_hi, grid", [
     ([2.0], [1.2], GridDomain([-2.0], [2.0], [81])),  # inside out: [1.6, 1.6]
     ([-0.1], [0.1], GridDomain([-2.0], [2.0], [3])),  # one grid cell, its center
