@@ -210,6 +210,16 @@ def _window_cells(shape, window, starts):
     return sliding_window_view(flat, tuple(window))[tuple(np.asarray(starts).T)]
 
 
+def _bounding_window(mask):
+    """Slices and flat indices (1, *W) of the smallest box of the boolean
+    grid `mask` that holds every set cell; its first cell when none is set."""
+    at = np.nonzero(mask)
+    first = [int(i.min()) if i.size else 0 for i in at]
+    window = tuple(int(i.max()) + 1 - f if i.size else 1 for i, f in zip(at, first))
+    return (tuple(slice(f, f + w) for f, w in zip(first, window)),
+            _window_cells(mask.shape, window, [first]))
+
+
 def _margin_mask(shape, width):
     """Cells within `width` of the grid boundary on some axis."""
     m = np.zeros(shape, dtype=bool)

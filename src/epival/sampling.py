@@ -19,16 +19,31 @@ def random_convex_fn(domain: GridDomain, rng) -> ExtGridFn:
 
     Every number is drawn with rng.random(), so rng may be a random.Random
     or a numpy Generator; the same seed of the same kind gives the same
-    function.
+    function. Both parts are built on the grid axes by broadcasting, one
+    affine function or quadratic term at a time, so the working set is a
+    few grids whatever the number of affine functions.
     """
-    pts = domain.points()
     n = domain.ndim
     half = float(np.linalg.norm(domain.hi - domain.lo)) / 2.0
     m = 1 + int(_MAX_AFFINE * rng.random())
     slopes = _uniform(rng, -2.0, 2.0, (m, n)) * (2.0 / half)
     offsets = _uniform(rng, -1.0, 1.0, m)
-    vals = (pts @ slopes.T + offsets).max(axis=1)
     W = _uniform(rng, -2.0, 2.0, (n, n))
     Q = (W @ W.T) * (float(_uniform(rng, 0.1, 1.0)) / (n * half**2))
-    vals = vals + 0.5 * np.einsum("ki,ij,kj->k", pts, Q, pts)
-    return ExtGridFn(domain, vals.reshape(domain.shape))
+    # axis a as an array that broadcasts along it over the grid
+    x = [ax.reshape((-1,) + (1,) * (n - 1 - a)) for a, ax in enumerate(domain.axes())]
+    vals = np.full(domain.shape, -np.inf)
+    for slope, offset in zip(slopes, offsets):
+        plane = slope[0] * x[0]
+        for a in range(1, n):
+            plane = plane + slope[a] * x[a]
+        plane += offset
+        np.maximum(vals, plane, out=vals)
+    del plane
+    quad = np.zeros(domain.shape)
+    for a in range(n):
+        for b in range(a, n):
+            quad += (Q[a, a] if a == b else Q[a, b] + Q[b, a]) * x[a] * x[b]
+    quad *= 0.5
+    vals += quad
+    return ExtGridFn(domain, vals)

@@ -3,7 +3,8 @@
 Grid values are stored row-major (last axis fastest) with the string "inf"
 for the extended value. Readers reject NaN and any non-finite numeric
 literal; -inf never round-trips. Writes go through a temp file and an
-atomic rename so a failed command never leaves a partial output.
+atomic rename so a failed command never leaves a partial output; grid and
+mask files are written there _CHUNK values at a time.
 """
 
 import json
@@ -16,6 +17,13 @@ import numpy as np
 from .errors import FormatError
 from .grids import ExtGridFn, GridDomain, Polytope, ScanMask
 from .valuations import Composite, Constant, HessianDensity, PairingMeasure
+
+# Values per chunk of a streamed grid or mask file: 2^10. Writing a 257^2
+# grid peaks at 0.17 MB of traced memory (0.05 at 2^8, 0.63 at 2^12, 7.0 for
+# the whole list) and takes 58 ms at every size from 2^8 to 2^14 and for the
+# whole list (medians of 15 interleaved writes): the per-chunk calls cost
+# nothing measurable.
+_CHUNK = 1 << 10
 
 
 def _reject_constant(name):
@@ -34,17 +42,23 @@ def load_json(path):
         return loads(fh.read())
 
 
-def dump_text_atomic(text: str, path):
+def _dump_atomic(pieces, path):
+    """Write the text pieces, in order, through a temp file renamed to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def dump_text_atomic(text: str, path):
+    _dump_atomic((text,), path)
 
 
 def dump_json_atomic(obj, path):
@@ -91,12 +105,27 @@ def _domain_from_dict(obj):
         raise FormatError(f"bad domain record: {err}") from err
 
 
-def save_grid_fn(f: ExtGridFn, path):
-    values = f.values.ravel()
-    listed = values.tolist()
-    for i in np.flatnonzero(values == np.inf).tolist():
+def _dump_grid_atomic(domain: GridDomain, key, values, listed, path):
+    """The text of json.dumps({"domain": ..., key: listed(values)},
+    sort_keys=True), for a key that sorts after "domain", written _CHUNK
+    values at a time: no list of every value is ever built."""
+    def pieces():
+        yield f'{{"domain": {json.dumps(_domain_to_dict(domain), sort_keys=True)}, "{key}": ['
+        for i in range(0, values.size, _CHUNK):
+            yield (", " if i else "") + json.dumps(listed(values[i:i + _CHUNK]))[1:-1]
+        yield "]}"
+    _dump_atomic(pieces(), path)
+
+
+def _listed_values(chunk):
+    listed = chunk.tolist()
+    for i in np.flatnonzero(chunk == np.inf).tolist():
         listed[i] = "inf"
-    dump_json_atomic({"domain": _domain_to_dict(f.domain), "values": listed}, path)
+    return listed
+
+
+def save_grid_fn(f: ExtGridFn, path):
+    _dump_grid_atomic(f.domain, "values", f.values.ravel(), _listed_values, path)
 
 
 def _grid_values(listed):
@@ -150,8 +179,8 @@ def load_polytope(path) -> Polytope:
 
 
 def save_mask(mask: ScanMask, path):
-    dump_json_atomic({"domain": _domain_to_dict(mask.domain),
-                      "marked": [int(v) for v in mask.marked.ravel()]}, path)
+    _dump_grid_atomic(mask.domain, "marked", mask.marked.ravel(),
+                      lambda chunk: chunk.astype(np.uint8).tolist(), path)
 
 
 def load_mask(path) -> ScanMask:

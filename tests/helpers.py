@@ -98,6 +98,26 @@ def quadratic(domain, A=None, b=None, c=0.0):
                   + p @ b + c)
 
 
+def point_list_convex_fn(domain, rng):
+    """The values of sampling.random_convex_fn as it built them from the
+    point list: the (N, m) matrix of the affine functions and an einsum of
+    the quadratic, with the same rng.random() draws in the same order."""
+    def uniform(lo, hi, shape=()):
+        draws = [rng.random() for _ in range(int(np.prod(shape)))]
+        return lo + (hi - lo) * np.array(draws).reshape(shape)
+
+    pts = domain.points()
+    n = domain.ndim
+    half = float(np.linalg.norm(domain.hi - domain.lo)) / 2.0
+    m = 1 + int(8 * rng.random())
+    slopes = uniform(-2.0, 2.0, (m, n)) * (2.0 / half)
+    offsets = uniform(-1.0, 1.0, m)
+    vals = (pts @ slopes.T + offsets).max(axis=1)
+    W = uniform(-2.0, 2.0, (n, n))
+    Q = (W @ W.T) * (float(uniform(0.1, 1.0)) / (n * half**2))
+    return (vals + 0.5 * np.einsum("ki,ij,kj->k", pts, Q, pts)).reshape(domain.shape)
+
+
 def brute_conjugate(f, dual_domain):
     """Independent direct conjugate: plain loops, no shared code path."""
     pts = f.domain.points()

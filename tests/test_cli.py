@@ -14,17 +14,18 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import epival
 from epival import serialize
-from epival import Bump, ExtGridFn, GridDomain, Polytope
+from epival import Bump, ExtGridFn, GridDomain, Polytope, ScanMask
 from epival.cli import build_parser, main
 from epival.serialize import (
     dump_json_atomic,
     load_grid_fn,
     load_mask,
     save_grid_fn,
+    save_mask,
     save_polytope,
 )
 
-from helpers import BLAS_THREADS, child_env, reference_grid_json, sample
+from helpers import BLAS_THREADS, child_env, peak_floats, reference_grid_json, sample
 
 
 @pytest.fixture
@@ -262,6 +263,19 @@ def test_gw_value_report_fields(tmp_path, capsys):
     assert report["agreement"] <= 1e-7
 
 
+def test_gw_of_a_pairing_that_vanishes_at_every_corner_reports_agreement_0(tmp_path, capsys):
+    """mu(f) = f(1, 0) + f(-1, 0) - f(0, 1) - f(0, -1) is 0 on |x|^2 and on
+    every corner of a bump that misses its nodes, so the agreement is 0/0:
+    it was "float division by zero", exit 3."""
+    dump_json_atomic({"kind": "pairing", "nodes": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                      "weights": [1, 1, -1, -1]}, tmp_path / "zero.json")
+    assert main(["gw", "--spec", str(tmp_path / "zero.json"), "--k", "1",
+                 "--grid=-2,-2:2,2:33,33", "--bump=-1.5,-1.5:0.3:1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == report["value_half_step"] == report["corner_max"] == 0.0
+    assert report["agreement"] == 0.0
+
+
 def test_gw_diagonality_report_carries_the_gw_report_fields(tmp_path, capsys):
     d = GridDomain([-2.0, -2.0], [2.0, 2.0], [33, 33])
     save_grid_fn(Bump([0.0, 0.0], 1.6, 1.0).sample(d), tmp_path / "w.json")
@@ -496,6 +510,63 @@ def test_grid_file_round_trip_matches_per_value_encoder(tmp_path, data):
     assert np.array_equal(load_grid_fn(p).values, f.values)
 
 
+def _whole_list_json(domain, key, listed):
+    """A grid or mask file's text as the writer made it before it streamed:
+    one json.dumps of the whole value list."""
+    return json.dumps({"domain": serialize._domain_to_dict(domain), key: listed},
+                      sort_keys=True)
+
+
+# 1D to 3D grids of 27 cells, and one of the 1024 cells of a default chunk
+_WRITER_SHAPES = [(27,), (3, 9), (3, 3, 3), (1024,)]
+
+
+@pytest.mark.parametrize("shape", _WRITER_SHAPES)
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])  # the chunk is the size plus it
+def test_grid_writer_streams_the_bytes_of_the_whole_list(tmp_path, monkeypatch, shape, offset):
+    """save_grid_fn's file is the whole list's json.dumps for grids one below
+    (offset 1), at (0) and one above (-1) a chunk boundary, and at the
+    default chunk size (None), +inf cells included."""
+    size = int(np.prod(shape))
+    if offset is not None:
+        monkeypatch.setattr(serialize, "_CHUNK", size + offset)
+    rng = np.random.default_rng(size)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    values[rng.random(size) < 0.3] = np.inf
+    values[[0, -1]] = [np.inf, -0.0]        # +inf at a chunk's first cell
+    f = ExtGridFn(GridDomain([-1.5] * len(shape), [2.5] * len(shape), shape), values)
+    listed = f.values.ravel().tolist()
+    for i in np.flatnonzero(f.values.ravel() == np.inf):
+        listed[i] = "inf"
+    save_grid_fn(f, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text(encoding="utf-8") == \
+        _whole_list_json(f.domain, "values", listed)
+    assert np.array_equal(load_grid_fn(tmp_path / "f.json").values, f.values)
+
+
+@pytest.mark.parametrize("shape", _WRITER_SHAPES)
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+def test_mask_writer_streams_the_bytes_of_the_whole_list(tmp_path, monkeypatch, shape, offset):
+    size = int(np.prod(shape))
+    if offset is not None:
+        monkeypatch.setattr(serialize, "_CHUNK", size + offset)
+    mask = ScanMask(GridDomain([-1.0] * len(shape), [1.0] * len(shape), shape),
+                    np.random.default_rng(size).random(shape) < 0.5)
+    save_mask(mask, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == \
+        _whole_list_json(mask.domain, "marked", [int(v) for v in mask.marked.ravel()])
+    assert np.array_equal(load_mask(tmp_path / "m.json").marked, mask.marked)
+
+
+def test_grid_writer_takes_under_1_mb_on_257_squared(tmp_path):
+    """The whole list of a 257^2 grid took 7.0 MB; chunks take 0.17 MB."""
+    d = GridDomain([-2.0] * 2, [2.0] * 2, [257, 257])
+    f = sample(d, lambda p: np.where(p[:, 0] > 1.5, np.inf, np.sum(p**2, axis=1)))
+    mask = ScanMask(d, np.isinf(f.values))
+    assert peak_floats(lambda: save_grid_fn(f, tmp_path / "f.json")) * 8 < 1e6
+    assert peak_floats(lambda: save_mask(mask, tmp_path / "m.json")) * 8 < 1e6
+
+
 def test_gw_with_grid_file_test_function(tmp_path, capsys):
     d = GridDomain([-2.0], [2.0], [129])
     write_mu1(tmp_path / "mu1.json")
@@ -676,6 +747,42 @@ def test_an_order_above_the_cap_exits_3_before_building_corners(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: k must be at most {cap}\n"
+    assert not (tmp_path / "out.data").exists()
+
+
+@pytest.mark.parametrize("command", ["polarize", "gw", "scan"])
+def test_corners_over_the_work_budget_exit_3_before_they_are_built(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    """k = 16 distinct tests, or a k = 16 scan on whole-grid windows, on a
+    line of n cells: 2^16 or 2^17 corner rows of n cells, and for a scan
+    32 rows for each of n probes. n = 33 is within the budget; n = 4097 is
+    over it and is refused with one error line."""
+    def no_corners(*args, **kwargs):
+        raise AssertionError("corners were built")
+
+    monkeypatch.setattr(epival.gw, "_corners", no_corners)
+    commands = _commands(tmp_path)
+
+    def argv(n):
+        grid = f"--grid=-2:2:{n}"
+        if command == "polarize":
+            paths = [str(tmp_path / f"f{n}-{i}.json") for i in range(16)]
+            for i, path in enumerate(paths):
+                write_grid(path, GridDomain([-2.0], [2.0], [n]), lambda p: (i + 1) * p[:, 0] ** 2)
+            extra = ["--inputs", *paths]
+        elif command == "gw":
+            extra = [grid] + [f"--bump={-1.5 + 0.2 * i!r}:0.3:1" for i in range(15)]  # and 0.3:0.7:1
+        else:
+            extra = [grid, "--probe-radius", "10"]
+        return commands[command] + ["--k", "16"] + extra
+
+    with pytest.raises(AssertionError, match="corners were built"):
+        main(argv(33))
+    capsys.readouterr()
+    assert main(argv(4097)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "work budget" in err and err.count("\n") == 1
     assert not (tmp_path / "out.data").exists()
 
 

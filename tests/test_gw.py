@@ -1,3 +1,4 @@
+import random
 import warnings
 from itertools import combinations
 
@@ -32,9 +33,11 @@ from epival import (
     translate_covariance_residual,
 )
 from epival.convex import _convex_rows, _curvature, central_hessian_at
+from epival.grids import _bounding_window
+from epival.valuations import _read_mask
 
-from helpers import (grid1d, grid2d, mixed_coeff_oracle, peak_floats, quadratic, sample,
-                     subset_polarization)
+from helpers import (grid1d, grid2d, mixed_coeff_oracle, peak_floats, point_list_convex_fn,
+                     quadratic, sample, subset_polarization)
 
 
 def mu1(x=1.0):
@@ -566,6 +569,64 @@ def test_seminorm_monotone_and_deterministic():
     assert big == again
     with pytest.raises(DomainExceeded):
         seminorm_estimate(mu1(), [-1.9], [1.9], 0.2, 4, seed=1, domain=d)
+
+
+@pytest.mark.parametrize("domain", [GridDomain([-2.0], [3.0], [257]),
+                                    GridDomain([-2.0, -1.0], [2.0, 3.0], [81, 60]),
+                                    GridDomain([-2.0] * 3, [2.0, 1.0, 4.0], [17, 9, 12])])
+@pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng])
+def test_random_convex_fn_matches_the_point_list_formula(domain, make_rng):
+    """Built on the axes, the sampler takes the draws of the point-list
+    formula (the same rng state after it) and agrees with its values to
+    1e-12 of their largest magnitude."""
+    for seed in range(20):
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        got = random_convex_fn(domain, rng).values
+        want = point_list_convex_fn(domain, oracle_rng)
+        state = (lambda r: r.getstate()) if make_rng is random.Random else \
+            (lambda r: r.bit_generator.state)
+        assert state(rng) == state(oracle_rng)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _pairing_in_the_box():
+    """Five nodes inside the source box [-1.4, 1.4]^2 of the tests below,
+    with weights from the null space of the moment conditions."""
+    nodes = np.array([[0.5, 0.2], [-0.7, 0.4], [0.1, -0.8], [0.9, 0.9], [-0.3, -0.2]])
+    null = np.linalg.svd(np.vstack([np.ones(5), nodes.T]))[2][3:]
+    return PairingMeasure(nodes, np.array([0.3, 1.0]) @ null)
+
+
+def test_seminorm_memory_does_not_grow_with_samples():
+    """The extensions are taken in blocks, each cropped to the box of the
+    read cells: the peak at 256 samples is within 10% of the one at 32 (the
+    whole stack of 81^2 extensions took 3.0 and 14.8 MB; blocks take 0.6)."""
+    d = GridDomain([-2.0] * 2, [2.0] * 2, [81, 81])
+    spec = _pairing_in_the_box()
+    _, cells = _bounding_window(_read_mask(spec, d))
+    assert epival.gw._SAMPLES // cells.size < 32      # 32 samples take two blocks
+    peak = {n: peak_floats(lambda: seminorm_estimate(spec, [-1.2] * 2, [1.2] * 2, 0.2, n,
+                                                     seed=3, domain=d))
+            for n in (32, 256)}
+    assert peak[256] <= 1.1 * peak[32]
+
+
+def test_seminorm_is_monotone_across_sample_blocks(monkeypatch):
+    """With blocks of 3 samples, each estimate is the one of a single block
+    and grows with the sample count; on this seed the 7th sample, the first
+    of the third block, raises it."""
+    d = GridDomain([-2.0] * 2, [2.0] * 2, [41, 41])
+    spec = _pairing_in_the_box()
+
+    def estimates():
+        return [seminorm_estimate(spec, [-1.2] * 2, [1.2] * 2, 0.2, n, seed=3, domain=d)
+                for n in range(1, 11)]
+
+    whole = estimates()
+    _, cells = _bounding_window(_read_mask(spec, d))
+    monkeypatch.setattr(epival.gw, "_SAMPLES", 3 * cells.size)
+    assert estimates() == whole
+    assert whole == sorted(whole) and whole[6] > whole[5]
 
 
 def test_seminorm_refuses_a_negative_seed():

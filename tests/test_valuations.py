@@ -28,7 +28,7 @@ from epival import (
     valuation_residual,
 )
 
-from epival.grids import _window_cells
+from epival.grids import _bounding_window, _window_cells
 from epival.valuations import _evaluate_stack, _evaluate_windows, _leaves, _read_mask, grid_domain
 
 from helpers import (SPEC_KINDS, grid1d, grid2d, grid3d, inclusion_exclusion_mixed_determinant,
@@ -141,6 +141,28 @@ def test_values_outside_read_mask_do_not_change_evaluation(ndim, kind, seed):
     other = np.where(rng.random(stack.shape) < 0.3, np.inf, 1e3 * rng.normal(size=stack.shape))
     changed = np.where(reads, stack, other)
     assert np.array_equal(_evaluate_stack(spec, d, changed), _evaluate_stack(spec, d, stack))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1), with_callable=st.booleans())
+def test_window_form_on_the_box_of_the_read_cells_is_the_valuation(ndim, kind, seed,
+                                                                   with_callable):
+    # seminorm_estimate evaluates its samples on this box: every term's
+    # stencil lies in it, so mu_W is mu bit for bit, whatever the cells of
+    # the box that mu does not read hold (+inf here); with a callable term
+    # the box is the whole grid, and with no read cell it is one cell
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    if with_callable:
+        spec = Composite([(1.0, spec), (0.5, lambda f: float(np.sum(f.values**2)))])
+    reads = _read_mask(spec, d)
+    crop, cells = _bounding_window(reads)
+    stack = np.where(reads, rng.normal(size=(3,) + d.shape), np.inf)
+    want = _evaluate_stack(spec, d, stack)
+    assert np.array_equal(_evaluate_windows(spec, d, stack[(slice(None),) + crop][None],
+                                            cells)[0], want)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
