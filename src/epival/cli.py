@@ -98,10 +98,10 @@ def cmd_transform(args, spec):
         out = convex.lipschitz_regularize(f, args.r)
         key, cells = "sup_change", f.finite_mask
     else:
-        out = convex._reconstruct_from_conjugate(f, args.R, fstar)
+        out = convex.reconstruct_from_conjugate(f, args.R, fstar)
         key = "sup_error_ball"
         cells = f.domain.point_norms(np.zeros(f.domain.ndim)) <= args.R + 1
-    report = {"biconjugate_gap": convex._biconjugate_gap(f, fstar), key: None}
+    report = {"biconjugate_gap": convex.biconjugate_gap(f, fstar), key: None}
     if cells is not None:
         report[key] = float(np.max(np.abs(out.values[cells] - f.values[cells])))
     serialize.save_grid_fn(out, args.out)

@@ -153,6 +153,13 @@ def default_dual_domain(f: ExtGridFn) -> GridDomain:
     return GridDomain(c - half, c + half, shape)
 
 
+def _require_finite(**args):
+    """Raise a ValueError naming the first argument with a NaN or infinite entry."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _by_rows(count, width, block):
     """block(i, j) for rows i:j of `count`, in blocks of about _BLOCK / width
     rows so no temporary exceeds _BLOCK floats; results are stacked."""
@@ -317,31 +324,23 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
                                                  f.domain.axes(), dual_domain.axes()))
 
 
-def biconjugate(f: ExtGridFn) -> ExtGridFn:
-    """legendre(legendre(f)) back on the primal grid.
+def biconjugate(f: ExtGridFn, fstar: ExtGridFn | None = None) -> ExtGridFn:
+    """legendre(legendre(f)) back on the primal grid, from `fstar`, the
+    conjugate legendre(f), when the caller already has it.
 
     The discrete construction satisfies f** <= f at finite cells in exact
     arithmetic; the result is clamped there to remove sub-ulp rounding
     overshoot so the dominance invariant holds for the returned values.
     """
-    return _biconjugate(f, legendre(f))
-
-
-def _biconjugate(f: ExtGridFn, fstar: ExtGridFn) -> ExtGridFn:
-    """biconjugate(f) from its conjugate fstar = legendre(f)."""
-    fss = legendre(fstar, f.domain)
+    fss = legendre(legendre(f) if fstar is None else fstar, f.domain)
     vals = np.where(f.finite_mask, np.minimum(fss.values, f.values), fss.values)
     return ExtGridFn(f.domain, vals)
 
 
-def biconjugate_gap(f: ExtGridFn) -> float:
-    """sup over finite interior cells of |f** - f|; zero certifies convexity."""
-    return _biconjugate_gap(f, legendre(f))
-
-
-def _biconjugate_gap(f: ExtGridFn, fstar: ExtGridFn) -> float:
-    """biconjugate_gap(f) from its conjugate fstar = legendre(f)."""
-    fss = _biconjugate(f, fstar)
+def biconjugate_gap(f: ExtGridFn, fstar: ExtGridFn | None = None) -> float:
+    """sup over finite interior cells of |f** - f|; zero certifies convexity.
+    `fstar`, when given, is legendre(f)."""
+    fss = biconjugate(f, fstar)
     sel = ~_margin_mask(f.domain.shape, 1) & f.finite_mask
     if not np.any(sel):
         return 0.0
@@ -391,7 +390,7 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
     Exact: the minimum over every finite source of f(y) + |x - y| / r, with
     source boxes that cannot hold a target box's minimum skipped.
     """
-    if r <= 0:
+    if not r > 0:  # NaN included; r = inf is the infimum of f
         raise ValueError("r must be positive")
     if not is_discretely_convex(f):
         raise ConvexityViolation("input must be discretely convex")
@@ -478,18 +477,16 @@ def body_to_function(K: Polytope, domain: GridDomain) -> ExtGridFn:
     return ExtGridFn(domain, vals.reshape(domain.shape))
 
 
-def reconstruct_from_conjugate(f: ExtGridFn, R: float) -> ExtGridFn:
+def reconstruct_from_conjugate(f: ExtGridFn, R: float,
+                               fstar: ExtGridFn | None = None) -> ExtGridFn:
     """Support evaluation of the truncated conjugate epigraph.
 
     With c the sup of |f| on the ball of radius R+2, the body is
     epi(f*) with |y| <= 2c and |t| <= (2R+3)c; its support function in
-    direction (x, -1) recovers f on the ball of radius R+1.
+    direction (x, -1) recovers f on the ball of radius R+1. `fstar`, when
+    given, is legendre(f); otherwise it is taken after every check passes.
     """
-    return _reconstruct_from_conjugate(f, R, legendre(f))
-
-
-def _reconstruct_from_conjugate(f: ExtGridFn, R: float, fstar: ExtGridFn) -> ExtGridFn:
-    """reconstruct_from_conjugate(f, R) from its conjugate fstar = legendre(f)."""
+    _require_finite(R=R)
     if R <= 0:
         raise ValueError("R must be positive")
     dom = f.domain
@@ -499,6 +496,8 @@ def _reconstruct_from_conjugate(f: ExtGridFn, R: float, fstar: ExtGridFn) -> Ext
     ball = rad <= R + 2
     if not np.all(np.isfinite(f.values[ball])):
         raise ValueError("f must be finite on the ball of radius R+2")
+    if fstar is None:
+        fstar = legendre(f)
     c = float(np.max(np.abs(f.values[ball])))
     c = max(c, 1e-300)
     ynorm = fstar.domain.point_norms(center=np.zeros(dom.ndim))
@@ -554,28 +553,24 @@ def _lower_hull_planes(pts, vals, edge):
         return slope[None, :], np.array([b - max(0.0, float(np.max(resid)))])
 
 
-def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float) -> ExtGridFn:
+def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float, fill=None) -> ExtGridFn:
     """Finite convex extension of f from the box [A_lo - s, A_hi + s].
 
     Outside the box the value is the max over supporting planes of the box
     data (the chordal extrapolation sup); inside it the input is kept
     verbatim. The output is finite everywhere and discretely convex.
-    """
-    fill = np.ones(f.domain.shape, dtype=bool)
-    return ExtGridFn(f.domain, _extend(f, A_lo, A_hi, s, fill))
 
-
-def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
-    """Values of extend_from_subdomain(f, A_lo, A_hi, s) at the cells where
-    the boolean grid `fill` is set and inside the source box; f's own values
-    at the other cells outside it.
-
-    Every check runs whatever `fill` is. The hull is built, and scipy
-    loaded, only when a cell to fill lies outside the box.
+    With `fill`, a boolean grid, only the cells it sets are extended: the
+    other cells outside the box keep f's values. Every check runs whatever
+    `fill` is; the hull is built, and scipy loaded, only when a cell to fill
+    lies outside the box.
     """
     dom = f.domain
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
     A_hi = np.atleast_1d(np.asarray(A_hi, dtype=float))
+    _require_finite(A_lo=A_lo, A_hi=A_hi, s=s)
+    if fill is not None and np.shape(fill) != dom.shape:
+        raise ValueError("fill must be a boolean grid of f's shape")
     if s <= 0:
         raise ValueError("s must be positive")
     if s < 2 * np.max(dom.spacing):
@@ -594,12 +589,11 @@ def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
         f.values[window])
     if not is_discretely_convex(sub):
         raise ConvexityViolation("f must be discretely convex on the source box")
-    out = np.array(f.values)
     box = np.zeros(dom.shape, dtype=bool)
     box[window] = True
-    targets = fill & ~box
+    targets = ~box if fill is None else fill & ~box
     if not np.any(targets):
-        return out
+        return f
 
     # Only facets with a vertex on the box boundary can be the largest plane
     # outside the box. Take x outside, any lower facet F with plane P, a point
@@ -610,8 +604,9 @@ def _extend(f: ExtGridFn, A_lo, A_hi, s: float, fill):
     pts = dom.points()
     edge = _margin_mask(sub.domain.shape, 1).ravel()
     slopes, offsets = _lower_hull_planes(pts[box.ravel()], sub.values.ravel(), edge)
+    out = np.array(f.values)
     out[targets] = _pairing_max(pts[targets.ravel()], slopes, -offsets)
-    return out
+    return ExtGridFn(dom, out)
 
 
 def _connected(mask):

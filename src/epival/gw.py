@@ -26,7 +26,8 @@ from math import comb, factorial, inf, prod
 
 import numpy as np
 
-from .convex import _by_rows, _curvature, _extend, _test_function, is_discretely_convex
+from .convex import (_by_rows, _curvature, _require_finite, _test_function,
+                     extend_from_subdomain, is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import (ExtGridFn, GridDomain, ScanMask, _bounding_window, _bump_values, _dilate,
                     _window_cells)
@@ -396,6 +397,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     dom = grid_domain(spec, domain)
     A_lo = np.atleast_1d(np.asarray(A_lo, dtype=float))
     A_hi = np.atleast_1d(np.asarray(A_hi, dtype=float))
+    _require_finite(A_lo=A_lo, A_hi=A_hi, s=s)
     if s <= 0 or n_samples < 1:
         raise ValueError("need s > 0 and at least one sample")
     if seed < 0:  # random.Random would take abs(seed)
@@ -429,6 +431,6 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
             m = float(np.max(np.abs(f.values[norm_box])))
             if m > 0:
                 f = ExtGridFn(dom, f.values / m)
-            ext[...] = _extend(f, A_lo, A_hi, s, reads)[crop]
+            ext[...] = extend_from_subdomain(f, A_lo, A_hi, s, reads).values[crop]
         best = max(best, float(np.max(np.abs(_evaluate_windows(spec, dom, exts[None], cells)))))
     return best

@@ -382,20 +382,51 @@ def test_scan_negative_tol_exits_3_and_writes_no_mask(tmp_path, capsys):
     assert not out.exists()
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name in every epival namespace that binds it, so a call
+    by any of them is recorded; returns the list of recorded arguments."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "epival" or mod_name.startswith("epival."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 def test_transform_reconstruct_conjugates_once(tmp_path, capsys, monkeypatch):
     """f* is taken once, for the reconstruction and the gap; the other
-    Legendre transform is the gap's f**."""
+    Legendre transform is the gap's f**. Both go through the public
+    functions, which take the f* the command already has."""
     d = GridDomain([-3.5] * 2, [3.5] * 2, [15, 15])
     fin, fout = tmp_path / "f.json", tmp_path / "rec.json"
     write_grid(fin, d, lambda p: np.sum(p**2, axis=1) + 0.3 * p[:, 0])
-    legendre, calls = epival.convex.legendre, []
-    monkeypatch.setattr(epival.convex, "legendre", lambda *a: calls.append(a) or legendre(*a))
+    calls = {name: _count_calls(monkeypatch, epival.convex, name)
+             for name in ("legendre", "reconstruct_from_conjugate", "biconjugate_gap")}
     rc = main(["transform", "--op", "reconstruct", "--R", "1", "--in", str(fin),
                "--out", str(fout)])
-    assert rc == 0 and len(calls) == 2
+    assert rc == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "legendre": 2, "reconstruct_from_conjugate": 1, "biconjugate_gap": 1}
+    assert calls["reconstruct_from_conjugate"][0][2] is calls["biconjugate_gap"][0][1]
     capsys.readouterr()
     want = epival.convex.reconstruct_from_conjugate(load_grid_fn(fin), 1.0)
     assert np.array_equal(load_grid_fn(fout).values, want.values)
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_seminorm_extends_each_sample_once(tmp_path, capsys, monkeypatch, samples):
+    write_mu1(tmp_path / "mu1.json")
+    calls = _count_calls(monkeypatch, epival.convex, "extend_from_subdomain")
+    rc = main(["seminorm", "--spec", str(tmp_path / "mu1.json"), "--A-lo=-1.2", "--A-hi",
+               "1.2", "--s", "0.2", "--samples", str(samples), "--grid=-2:2:81"])
+    assert rc == 0 and len(calls) == samples
+    capsys.readouterr()
 
 
 def test_seminorm_seeded_rerun_byte_identical(tmp_path, capsys):

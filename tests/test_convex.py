@@ -12,6 +12,7 @@ from epival import (
     DomainExceeded,
     ExtGridFn,
     GridDomain,
+    PairingMeasure,
     Polytope,
     ScanMask,
     biconjugate,
@@ -29,6 +30,7 @@ from epival import (
     random_convex_fn,
     reconstruct_from_conjugate,
     restrict,
+    seminorm_estimate,
     slope_range,
 )
 from epival import convex
@@ -654,6 +656,49 @@ def test_reconstruct_domain_guard():
         reconstruct_from_conjugate(quadratic(d), 1.0)  # needs B_3
 
 
+def test_reconstruct_refuses_before_any_legendre_transform(monkeypatch):
+    d = GridDomain([-4.0], [4.0], [129])
+    f = quadratic(d)
+    holed = ExtGridFn(d, np.where(np.abs(d.points().ravel()) < 0.5, np.inf, f.values.ravel()))
+    small = quadratic(grid1d(lo=-2.0, hi=2.0))
+    calls = []
+    monkeypatch.setattr(convex, "legendre", lambda *a: calls.append(a))
+    for g, R, error in [(f, 0.0, ValueError), (f, np.nan, ValueError), (f, np.inf, ValueError),
+                        (holed, 1.0, ValueError), (small, 1.0, DomainExceeded)]:
+        with pytest.raises(error):
+            reconstruct_from_conjugate(g, R)
+    assert calls == []
+
+
+def test_a_given_conjugate_gives_the_one_argument_results_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for d in (GridDomain([-4.0], [4.0], [129]), GridDomain([-3.5] * 2, [3.5] * 2, [33, 33])):
+        f = random_convex_fn(d, rng)
+        fstar = legendre(f)
+        assert np.array_equal(biconjugate(f, fstar).values, biconjugate(f).values)
+        assert biconjugate_gap(f, fstar) == biconjugate_gap(f)
+        assert np.array_equal(reconstruct_from_conjugate(f, 1.0, fstar).values,
+                              reconstruct_from_conjugate(f, 1.0).values)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f: extend_from_subdomain(f, [np.nan], [1.0], 0.5), "A_lo"),
+    (lambda f: extend_from_subdomain(f, [-1.0], [np.inf], 0.5), "A_hi"),
+    (lambda f: extend_from_subdomain(f, [-1.0], [1.0], np.nan), "s"),
+    (lambda f: extend_from_subdomain(f, [-1.0], [1.0], np.inf), "s"),
+    (lambda f: reconstruct_from_conjugate(f, np.nan), "R"),
+    (lambda f: reconstruct_from_conjugate(f, -np.inf), "R"),
+    (lambda f: lipschitz_regularize(f, np.nan), "r"),
+    (lambda f: seminorm_estimate(PairingMeasure([[1.0], [-1.0], [0.0]], [1.0, 1.0, -2.0]),
+                                 [-1.0], [1.0], np.nan, 2, seed=0, domain=f.domain), "s"),
+], ids=["extend-A_lo", "extend-A_hi", "extend-s-nan", "extend-s-inf", "reconstruct-R-nan",
+        "reconstruct-R-inf", "regularize-r-nan", "seminorm-s-nan"])
+def test_non_finite_arguments_are_refused_by_name(call, name):
+    f = quadratic(GridDomain([-4.0], [4.0], [41]))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(f)
+
+
 # ------------------------------------------------------------------ extension
 
 def test_extend_affine_is_identity():
@@ -733,6 +778,24 @@ def test_extend_2d_matches_all_lower_hull_planes():
     full = (pts[~box] @ (-eq[:, :2] / eq[:, 2:3]).T - eq[:, 3] / eq[:, 2]).max(axis=1)
     got = out.values.ravel()[~box]
     assert np.max(np.abs(got - full)) <= 1e-12 * (1 + np.max(np.abs(full)))
+
+
+def test_extend_fill_gives_the_extension_on_its_cells_and_f_elsewhere():
+    rng = np.random.default_rng(47)
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [25, 25])
+    far = np.max(np.abs(d.points()), axis=1).reshape(d.shape) > 1.7
+    f = ExtGridFn(d, np.where(far, np.inf, random_convex_fn(d, rng).values))
+    A_lo, A_hi, s = [-0.6, -0.4], [0.5, 0.7], 0.4
+    full = extend_from_subdomain(f, A_lo, A_hi, s)
+    fill = rng.random(d.shape) < 0.3
+    out = extend_from_subdomain(f, A_lo, A_hi, s, fill)
+    assert np.array_equal(out.values[fill], full.values[fill])
+    assert np.array_equal(out.values[~fill], f.values[~fill])
+    assert np.all(np.isfinite(out.values[fill])) and np.any(np.isinf(out.values[~fill]))
+    none = extend_from_subdomain(f, A_lo, A_hi, s, np.zeros(d.shape, dtype=bool))
+    assert np.array_equal(none.values, f.values)
+    with pytest.raises(ValueError, match="fill"):
+        extend_from_subdomain(f, A_lo, A_hi, s, fill[0])
 
 
 def test_extend_guards():

@@ -28,7 +28,7 @@ from epival import (
     valuation_residual,
 )
 
-from epival.grids import _bounding_window, _window_cells
+from epival.grids import _bounding_window, _dilate, _window_cells
 from epival.valuations import _evaluate_stack, _evaluate_windows, _leaves, _read_mask, grid_domain
 
 from helpers import (SPEC_KINDS, grid1d, grid2d, grid3d, inclusion_exclusion_mixed_determinant,
@@ -600,6 +600,39 @@ def test_res_star_agrees_with_regularized_evaluation():
     bad = ExtGridFn(d, np.where((x > -1.0) & (x < 1.0), x**2, np.inf))
     with pytest.raises(ValueError):
         res_star(mu1(), bad, mask)  # +inf on U cells
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_res_star_on_a_box_around_the_read_cells_is_the_valuation(ndim, kind, seed):
+    # the extension statement: a valuation whose reads lie in an open U is
+    # determined by f on U, so res_star over U is mu(f); a connected U that
+    # leaves out a read cell gives that value or is refused, and a
+    # disconnected U is refused
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    f = random_convex_fn(d, rng)
+    want = evaluate(spec, f)
+    reads = _read_mask(spec, d)
+    box = np.zeros(d.shape, dtype=bool)
+    box[_bounding_window(_dilate(reads))[0]] = True
+    assert res_star(spec, f, ScanMask(d, box)) == want
+    first = np.nonzero(reads)[0]
+    cut = np.array(box)
+    if first.size:
+        cut[:first.min() + 1] = False   # the box less the slab of its first read cell
+    if first.size and cut.any():
+        try:
+            value = res_star(spec, f, ScanMask(d, cut))
+        except ValueError:
+            value = want
+        assert value == want
+    apart = np.zeros(d.shape, dtype=bool)
+    apart.flat[[0, -1]] = True
+    with pytest.raises(ValueError, match="disconnected"):
+        res_star(spec, f, ScanMask(d, apart))
 
 
 # ------------------------------------------------------------------ 3d paths
