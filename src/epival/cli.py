@@ -82,11 +82,14 @@ def _check_out(path):
 
 
 def cmd_transform(args, spec):
-    dual = _parsed("--grid", _grid, args.grid)
+    for op, name in (("legendre", "grid"), ("reg", "r"), ("reconstruct", "R")):
+        if op != args.op and getattr(args, name) is not None:
+            raise ValueError(f"--op {args.op} does not read --{name}")
     if args.op == "reg" and args.r is None:
         raise ValueError("--op reg requires --r")
     if args.op == "reconstruct" and args.R is None:
         raise ValueError("--op reconstruct requires --R")
+    dual = _parsed("--grid", _grid, args.grid)
     f = serialize.load_grid_fn(args.infile)
     fstar = convex.legendre(f)  # f* on the default dual grid, which the gap starts from
     if args.op == "legendre":
@@ -110,12 +113,11 @@ def cmd_transform(args, spec):
 
 def cmd_decompose(args, spec):
     f = serialize.load_grid_fn(args.infile)
-    n = args.n if args.n is not None else f.domain.ndim
-    parts = valuations.homogeneous_decompose(spec, f, n)
+    parts = valuations.homogeneous_decompose(spec, f)
     lines = ["degree,value"]
     for d, v in enumerate(parts.components):
         lines.append(f"{d},{float(v)!r}")
-    lines.append(f"residual_{n + 1},{float(parts.top_residual)!r}")
+    lines.append(f"residual_{f.domain.ndim + 1},{float(parts.top_residual)!r}")
     serialize.dump_text_atomic("\n".join(lines) + "\n", args.out)
     return {"components": [float(v) for v in parts.components],
             "top_residual": parts.top_residual}
@@ -168,8 +170,6 @@ def build_parser():
         sp.set_defaults(func=func)
         if spec:
             sp.add_argument("--spec", required=True)
-            sp.add_argument("--unchecked", action="store_true",
-                            help="skip the pairing weight-condition check")
         if out == "data":
             sp.add_argument("--out", required=True)
         elif out == "report":
@@ -187,7 +187,6 @@ def build_parser():
     d = command("decompose", cmd_decompose, "homogeneous components as CSV",
                 out="data")
     d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--n", type=int, default=None)
 
     pol = command("polarize", cmd_polarize, "multilinear polarization value",
                   out="report")
@@ -234,8 +233,7 @@ def main(argv=None) -> int:
         out = report_out or getattr(args, "out", None)
         if out:
             _check_out(out)
-        spec = serialize.load_valuation_spec(args.spec, check=not args.unchecked) \
-            if "spec" in config else None
+        spec = serialize.load_valuation_spec(args.spec) if "spec" in config else None
         report = {"command": args.command, "config": config, **args.func(args, spec)}
         if report_out:
             serialize.dump_json_atomic(report, report_out)

@@ -67,16 +67,14 @@ def _shifted_views(values, d):
     return values[tuple(sl_m)], values[tuple(sl_c)], values[tuple(sl_p)]
 
 
-def is_discretely_convex(f: ExtGridFn, tol: float = 1e-9) -> bool:
-    """Second differences along axis and diagonal directions >= -tol*scale,
+def is_discretely_convex(f: ExtGridFn) -> bool:
+    """Second differences along axis and diagonal directions >= -1e-9*scale,
     and finite cells form a contiguous segment along every axis scan line.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return bool(_convex_rows(f.values[None], tol)[0])
+    return bool(_convex_rows(f.values[None])[0])
 
 
-def _convex_rows(stack, tol=1e-9):
+def _convex_rows(stack):
     """is_discretely_convex for each row of a (B, *grid) value stack, each
     row against its own scale. A stack with no +inf cell skips the masking
     and the scan-line test, which then hold trivially.
@@ -86,7 +84,7 @@ def _convex_rows(stack, tol=1e-9):
     fin = np.isfinite(stack)
     finite = bool(fin.all())
     vals = stack if finite else np.where(fin, stack, 0.0)
-    thr = -tol * (1.0 + np.max(np.abs(vals), axis=axes))
+    thr = -1e-9 * (1.0 + np.max(np.abs(vals), axis=axes))
     ok = np.ones(rows, dtype=bool)
     for d in _directions(ndim):
         vm, vc, vp = _shifted_views(vals, (0,) + d)

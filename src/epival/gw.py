@@ -363,8 +363,7 @@ def translate_covariance_residual(spec: PairingMeasure, v, probe_radius: float,
     valuation and the shifted scan of the original."""
     if not isinstance(spec, PairingMeasure):
         raise TypeError("translate covariance probe is defined for pairings")
-    if domain is None:
-        raise ValueError("a grid domain is required")
+    domain = grid_domain(spec, domain)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     shifted = spec.translate(v)
     if not np.all(domain.contains(shifted.nodes)) or \

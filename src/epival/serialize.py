@@ -24,6 +24,9 @@ from .valuations import Composite, Constant, HessianDensity, PairingMeasure
 # whole list (medians of 15 interleaved writes): the per-chunk calls cost
 # nothing measurable.
 _CHUNK = 1 << 10
+# Composite specs a spec file may be nested in. Evaluating a spec recurses
+# through its composites, and a chain of 500 overflows Python's stack.
+_NESTING = 100
 
 
 def _reject_constant(name):
@@ -35,11 +38,17 @@ def loads(text: str):
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise FormatError(f"invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise FormatError("invalid JSON: nested too deeply") from err
 
 
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path} is not UTF-8 text: {err}") from err
+    return loads(text)
 
 
 def _dump_atomic(pieces, path):
@@ -135,16 +144,13 @@ def _grid_values(listed):
     if not kinds.keys() <= {int, float, str} or kinds[str] != listed.count("inf"):
         bad = next(v for v in listed if type(v) not in (int, float) and v != "inf")
         raise FormatError(f"bad grid value {bad!r}")
-    values = np.array(listed, dtype=object)
-    inf = values == "inf"
-    values[inf] = 0.0
     try:
-        values = values.astype(float)
+        values = np.array(listed, dtype=float)  # "inf" reads as +inf
     except OverflowError as err:
         raise FormatError(f"grid value beyond the float range: {err}") from err
-    if not np.all(np.isfinite(values)):
+    # a number that reads as +-inf, such as 1e999, adds one beyond the strings
+    if np.count_nonzero(np.isinf(values)) != kinds[str]:
         raise FormatError("non-finite numeric value in grid file")
-    values[inf] = np.inf
     return values
 
 
@@ -196,14 +202,15 @@ def load_mask(path) -> ScanMask:
     return ScanMask(domain, np.array(marked, dtype=bool))
 
 
-def load_valuation_spec(path, check: bool = True):
+def load_valuation_spec(path):
     """Load a valuation spec; relative references resolve against the file.
 
-    With check=True (the default) pairing weights must satisfy both moment
-    conditions at 1e-10; violating specs are refused. Malformed fields and
-    composite specs that reference themselves raise FormatError.
+    Pairing weights must satisfy both moment conditions at 1e-10; violating
+    specs are refused. Malformed fields, composite specs that reference
+    themselves and files nested in more than _NESTING composites raise
+    FormatError.
     """
-    return _load_spec(os.path.abspath(path), check, ())
+    return _load_spec(os.path.abspath(path), ())
 
 
 def _finite(value, rank=None):
@@ -234,11 +241,13 @@ def _parse(kind, read):
         raise FormatError(f"bad {kind} spec field: {err}") from err
 
 
-def _load_spec(path, check, stack):
+def _load_spec(path, stack):
     """Fields are parsed first, so only the checks a built spec makes stay
     preconditions (ValueError); `stack` holds the composites being loaded."""
     if path in stack:
         raise FormatError(f"composite spec cycle through {path}")
+    if len(stack) > _NESTING:
+        raise FormatError(f"composite specs nested more than {_NESTING} deep")
     obj = load_json(path)
     directory = os.path.dirname(path)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -247,7 +256,7 @@ def _load_spec(path, check, stack):
     if kind == "pairing":
         nodes, weights = _parse(kind, lambda: (_finite(obj["nodes"], rank=2),
                                                _finite(obj["weights"], rank=1)))
-        return PairingMeasure(nodes, weights, check=check)
+        return PairingMeasure(nodes, weights)
     if kind == "constant":
         return Constant(_parse(kind, lambda: float(_finite(_number(obj["value"])))))
     if kind == "hessian":
@@ -265,6 +274,6 @@ def _load_spec(path, check, stack):
                 raise FormatError("composite terms are [coefficient, file] pairs")
             coef, ref = _parse(kind, lambda: (
                 float(_number(item[0])), os.path.abspath(os.path.join(directory, item[1]))))
-            loaded.append((coef, _load_spec(ref, check, stack + (path,))))
+            loaded.append((coef, _load_spec(ref, stack + (path,))))
         return Composite(loaded)
     raise FormatError(f"unknown valuation kind {kind!r}")

@@ -3,7 +3,7 @@
 A valuation is described by a spec (pairing measure, Hessian density,
 constant, or a linear combination) and evaluated against ExtGridFn inputs.
 The module also provides the valuation/invariance residual probes, the
-homogeneous decomposition through Vandermonde inversion, mixed determinants,
+homogeneous decomposition through a Vandermonde system, mixed determinants,
 the embedding into body valuations, and restriction to open sub-domains.
 """
 
@@ -297,48 +297,31 @@ def _dilations(f: ExtGridFn, ts):
     return ts.reshape((-1,) + (1,) * f.values.ndim) * f.values
 
 
-def _vandermonde(n):
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    # cond(V) grows with n: 4.2e10 at n = 7, 2.1e12 at n = 8, 8.5e22 at
-    # n = 16. An n above 16 is refused before V is built: V takes (n + 2)^2
-    # floats (7.3 TiB at n = 10^6), its SVD seconds at n in the thousands,
-    # and its entries overflow to inf from n = 142 on
-    if n > 16:
-        raise np.linalg.LinAlgError("Vandermonde system too ill-conditioned")
-    ts = np.arange(1, n + 3, dtype=float)
-    V = np.vander(ts, N=n + 2, increasing=True)
-    if np.linalg.cond(V) > 1e12:
-        raise np.linalg.LinAlgError("Vandermonde system too ill-conditioned")
-    return ts, V
-
-
-def homogeneous_decompose(spec, f: ExtGridFn, n: int | None = None
-                          ) -> HomogeneousComponents:
-    """Split mu(f) into homogeneous components by probing mu(t f), t = 1..n+2,
-    and inverting the Vandermonde system for the coefficients of t^0..t^(n+1).
+def homogeneous_decompose(spec, f: ExtGridFn) -> HomogeneousComponents:
+    """Split mu(f) into homogeneous components of degrees 0..n, n the
+    dimension of f's grid, by probing mu(t f), t = 1..n+2, and solving the
+    Vandermonde system for the coefficients of t^0..t^(n+1).
     """
-    if n is None:
-        n = f.domain.ndim
-    ts, V = _vandermonde(n)
+    n = f.domain.ndim
+    ts = np.arange(1, n + 3, dtype=float)
     vals = _evaluate_stack(spec, f.domain, _dilations(f, ts))
-    coeffs = np.linalg.solve(V, vals)
+    coeffs = np.linalg.solve(np.vander(ts, increasing=True), vals)
     return HomogeneousComponents(components=coeffs[:n + 1],
                                  top_residual=abs(float(coeffs[n + 1])),
                                  probe_values=vals)
 
 
-def component_functional(spec, deg: int, n: int):
-    """The degree-`deg` component as a standalone valuation (a callable),
-    built from the same dilation probes as the decomposition."""
-    ts, V = _vandermonde(n)
-    if not 0 <= deg <= n:
-        raise ValueError("deg must be between 0 and n")
-    row = np.linalg.inv(V)[deg]
+def component_functional(spec, deg: int):
+    """The degree-`deg` component as a standalone valuation (a callable):
+    f -> homogeneous_decompose(spec, f).components[deg], for f on a grid of
+    dimension at least deg."""
+    if deg < 0:
+        raise ValueError("deg must be nonnegative")
 
     def mu_deg(f):
-        vals = _evaluate_stack(spec, f.domain, _dilations(f, ts))
-        return float(sum(r * v for r, v in zip(row, vals)))
+        if deg > f.domain.ndim:
+            raise ValueError("deg must be at most the dimension of f's grid")
+        return float(homogeneous_decompose(spec, f).components[deg])
 
     return mu_deg
 

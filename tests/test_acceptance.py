@@ -155,7 +155,7 @@ def test_criterion_4_homogeneous_decomposition():
     ok = True
     for _ in range(5):
         f = random_convex_fn(dom, rng)
-        parts = homogeneous_decompose(spec, f, n=2)
+        parts = homogeneous_decompose(spec, f)
         expect = [3.0, evaluate(mu1_2d(), f), evaluate(hess, f)]
         for d in range(3):
             ok &= abs(parts.components[d] - expect[d]) \

@@ -334,6 +334,50 @@ def test_unreadable_grid_file_exits_2(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("transform", "f.json",
+     '{"domain": {"lo": [-1.0], "hi": [1.0], "shape": [3]}, "values": %s}' % _DEEP),
+    ("decompose", "mu1.json", '{"kind": "pairing", "nodes": %s, "weights": [1.0]}' % _DEEP),
+    ("embed", "seg.json", '{"vertices": %s}' % _DEEP),
+    ("decompose", "mu1.json", '{"kind": "constant", "value": 1.5, "note": "\xff"}'),
+], ids=["grid-nested", "spec-nested", "polytope-nested", "spec-not-utf8"])
+def test_unparsable_files_exit_2(tmp_path, capsys, command, name, content):
+    """JSON nested deeper than the parser recurses, and a file that is not
+    UTF-8 (the latin-1 byte 0xff), are parse failures: one error line."""
+    argv = _commands(tmp_path)[command]
+    (tmp_path / name).write_bytes(content.encode("latin-1"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.data").exists()
+
+
+def test_composites_nested_beyond_the_cap_exit_2(tmp_path, capsys):
+    """A chain of 500 composite files loads, but evaluating it would overflow
+    the stack; a chain as deep as the cap runs."""
+    write_mu1(tmp_path / "c0.json")
+    for i in range(1, 501):
+        dump_json_atomic({"kind": "composite", "terms": [[1.0, f"c{i - 1}.json"]]},
+                         tmp_path / f"c{i}.json")
+    argv = _commands(tmp_path)["decompose"]
+
+    def decompose(depth):
+        argv[2] = str(tmp_path / f"c{depth}.json")
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 0 or (out == "" and "nested more than" in err)
+        assert (tmp_path / "out.data").exists() == (rc == 0)
+        (tmp_path / "out.data").unlink(missing_ok=True)
+        return rc
+
+    assert decompose(500) == 2
+    assert decompose(serialize._NESTING + 1) == 2
+    assert decompose(serialize._NESTING) == 0
+
+
 def test_pairing_spec_without_weights_exits_2(tmp_path, capsys):
     dump_json_atomic({"kind": "pairing", "nodes": NODES}, tmp_path / "spec.json")
     rc, err = _decompose_rc(tmp_path, capsys, tmp_path / "spec.json")
@@ -356,6 +400,22 @@ def test_missing_radius_or_zero_probe_radius_exits_3(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert rc == 3 and err.startswith("error: ") and message in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("op, option", [
+    ("legendre", "--r=0.5"), ("legendre", "--R=9"),
+    ("reg", "--grid=-2:2:33"), ("reg", "--R=9"),
+    ("reconstruct", "--r=0.5"), ("reconstruct", "--grid=-2:2:33"),
+])
+def test_transform_refuses_an_option_its_op_does_not_read(tmp_path, capsys, op, option):
+    # --in names no file, so a refusal after the read would exit 2
+    needs = {"reg": ["--r=0.5"], "reconstruct": ["--R=1"]}.get(op, [])
+    rc = main(["transform", "--op", op, *needs, option, "--in", str(tmp_path / "none.json"),
+               "--out", str(tmp_path / "out.json")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and f"does not read {option.split('=')[0]}" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_scan_covers_nodes(tmp_path, capsys):
@@ -699,17 +759,6 @@ def test_child_process_output_matches_in_process_main(tmp_path, capsys, command)
     assert (child.stdout, out.read_bytes()) == want
 
 
-def test_decompose_refuses_a_huge_n_before_allocating(tmp_path):
-    # n = 10**6 would build a 7.3 TiB Vandermonde matrix
-    argv = _commands(tmp_path)["decompose"] + ["--n", "1000000"]
-    run = subprocess.run([sys.executable, "-m", "epival.cli", *argv], env=child_env(),
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 3
-    assert run.stdout == ""
-    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
-    assert not (tmp_path / "out.data").exists()
-
-
 # a child that caps its own address space at 1.5 GB, then runs the CLI
 _CAPPED_MAIN = ("import resource, sys\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
@@ -861,18 +910,11 @@ def test_readers_refuse_a_shape_whose_cell_count_overflows(tmp_path):
             read(tmp_path / name)
 
 
-def test_transform_takes_no_unchecked(tmp_path, capsys):
-    fin = tmp_path / "f.json"
-    fin.write_text(json.dumps(GRID_1D))
-    argv = ["transform", "--op", "legendre", "--in", str(fin),
-            "--out", str(tmp_path / "out.json")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--unchecked"])
-    assert exc.value.code == 2
-    assert "--unchecked" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "3"])
-    assert exc.value.code == 2
+def test_no_command_takes_unchecked(tmp_path, capsys):
+    # a pairing's weight conditions are always checked
+    for argv in _commands(tmp_path).values():
+        assert _exit_code(argv + ["--unchecked"]) == 2
+        assert "--unchecked" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nodes, scipy_loaded", [
@@ -1073,7 +1115,7 @@ def test_text_options_exit_0_2_or_3(tmp_path, capsys, option, text):
 @settings(derandomize=True, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_option=st.sampled_from([("polarize", "--k"), ("gw", "--k"), ("scan", "--k"),
-                                       ("decompose", "--n"), ("seminorm", "--samples"),
+                                       ("seminorm", "--samples"),
                                        ("seminorm", "--seed")]),
        value=st.integers(-3, 6))
 def test_integer_options_exit_0_2_or_3(tmp_path, capsys, command_option, value):
@@ -1169,9 +1211,10 @@ def test_malformed_files_exit_0_2_or_3(tmp_path, capsys, kind, data):
         return
     out = tmp_path / "out.data"
     spec = ["--spec", str(tmp_path / "mu1.json")]
+    op = data.draw(st.sampled_from(["legendre", "reg"]))
     argv = {
-        "grid": ["transform", "--op", data.draw(st.sampled_from(["legendre", "reg"])),
-                 "--r", "0.5", "--in", str(path), "--out", str(out)],
+        "grid": ["transform", "--op", op, *(["--r", "0.5"] if op == "reg" else []),
+                 "--in", str(path), "--out", str(out)],
         "polytope": ["embed", *spec, "--polytope", str(path), "--grid=-2:2:33"],
         "spec": ["decompose", "--spec", str(path), "--in", str(tmp_path / "f.json"),
                  "--out", str(out)],

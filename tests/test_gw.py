@@ -544,6 +544,8 @@ def test_translate_covariance():
     assert res <= 1.0
     with pytest.raises(DomainExceeded):
         translate_covariance_residual(mu1(), [3.0], 0.3, domain=d)
+    with pytest.raises(ValueError, match="grid domain is required"):
+        translate_covariance_residual(mu1(), [0.5], 0.3)
 
 
 # ----------------------------------------------------------------- seminorm

@@ -408,10 +408,10 @@ def test_invariance_negative_control():
 def test_decompose_constant_and_pairing():
     d = grid1d()
     f = sample(d, lambda p: p[:, 0] ** 2)
-    parts = homogeneous_decompose(Constant(3.0), f, n=1)
+    parts = homogeneous_decompose(Constant(3.0), f)
     assert parts.components[0] == pytest.approx(3.0, abs=1e-10)
     assert np.all(np.abs(parts.components[1:]) <= 1e-10)
-    parts = homogeneous_decompose(mu1(), f, n=1)
+    parts = homogeneous_decompose(mu1(), f)
     assert parts.components[1] == pytest.approx(2.0, rel=1e-9)
     assert abs(parts.components[0]) <= 1e-9
 
@@ -423,7 +423,7 @@ def test_decompose_composite_matches_per_term():
                           [1.0, 1.0, -2.0])
     spec = Composite([(1.0, Constant(3.0)), (1.0, pair), (1.0, hess)])
     f = quadratic(d)  # |x|^2/2
-    parts = homogeneous_decompose(spec, f, n=2)
+    parts = homogeneous_decompose(spec, f)
     assert parts.components[0] == pytest.approx(3.0, rel=1e-9)
     assert parts.components[1] == pytest.approx(evaluate(pair, f), rel=1e-9)
     assert parts.components[2] == pytest.approx(evaluate(hess, f), rel=1e-9)
@@ -440,40 +440,47 @@ def test_decompose_components_are_homogeneous(ndim, kind, seed):
     d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
     spec = random_spec(kind, d, rng)
     f = rng.normal(size=d.shape)
-    parts = homogeneous_decompose(spec, ExtGridFn(d, f))  # n defaults to the grid's
+    parts = homogeneous_decompose(spec, ExtGridFn(d, f))
     for t in (0.5, 2.0, 3.0):
-        scaled = homogeneous_decompose(spec, ExtGridFn(d, t * f), ndim)
+        scaled = homogeneous_decompose(spec, ExtGridFn(d, t * f))
         want = t ** np.arange(ndim + 1) * parts.components
         assert np.max(np.abs(scaled.components - want)) <= 1e-11 * max(parts.scale,
                                                                         scaled.scale)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_components_are_the_terms_of_each_degree(ndim, kind, seed):
+    # a constant has degree 0, a pairing 1 and a Hessian density its order,
+    # none above the grid's dimension, so the components on degrees 0..ndim
+    # take every term
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    f = ExtGridFn(d, rng.normal(size=d.shape))
+    want = np.zeros(ndim + 1)
+    for coef, leaf in _leaves(spec):
+        degree = 0 if isinstance(leaf, Constant) else \
+            1 if isinstance(leaf, PairingMeasure) else leaf.order
+        want[degree] += coef * evaluate(leaf, f)
+    parts = homogeneous_decompose(spec, f)
+    assert np.max(np.abs(parts.components - want)) <= 1e-10 * parts.scale
+    assert parts.top_residual <= 1e-10 * parts.scale
+
+
 def test_decompose_components_are_valuations():
     d = grid1d()
     spec = Composite([(1.0, Constant(2.0)), (1.0, mu1())])
-    comp1 = component_functional(spec, 1, n=1)
+    comp1 = component_functional(spec, 1)
     f = sample(d, lambda p: p[:, 0] ** 2)
     h = ExtGridFn(d, f.values + 0.5)
     scale = 1 + abs(comp1(f)) + abs(comp1(h))
     assert valuation_residual(comp1, f, h) <= 1e-9 * scale
-    for deg, n in ((-1, 1), (2, 1), (0, -1)):
-        with pytest.raises(ValueError, match="deg|n must"):
-            component_functional(spec, deg, n)
-    with pytest.raises(ValueError, match="n must be nonnegative"):
-        homogeneous_decompose(spec, f, n=-1)
-
-
-def test_decompose_refuses_a_huge_n_before_building_the_system(monkeypatch):
-    # the (n + 2)^2 Vandermonde matrix would take 7.3 TiB at n = 10**6
-    def no_system(*args, **kwargs):
-        raise AssertionError("the Vandermonde system was built")
-
-    monkeypatch.setattr(np, "vander", no_system)
-    f = sample(grid1d(), lambda p: p[:, 0] ** 2)
-    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
-        homogeneous_decompose(mu1(), f, n=10**6)
-    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
-        component_functional(mu1(), 1, n=10**6)
+    with pytest.raises(ValueError, match="deg must be nonnegative"):
+        component_functional(spec, -1)  # refused before any f is seen
+    with pytest.raises(ValueError, match="at most the dimension"):
+        component_functional(spec, 2)(f)
 
 
 # --------------------------------------------------------- mixed determinant
