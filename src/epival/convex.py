@@ -6,21 +6,24 @@ extension from a sub-box, lsc extension/restriction and convex splitting.
 """
 
 import warnings
+from functools import cache
+from math import prod
 
 import numpy as np
 
 from .errors import ConvexityViolation, DomainExceeded
-from .grids import Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mask
+from .grids import (Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mask,
+                    _product_points)
 
-# Floats in one temporary block of the row-blocked kernels: 2^19, 4 MB. A
-# support scan sizes its blocks of probes from it, and a fresh CLI process
-# faults each block's pages in. Against 2^21, the benchmark's 33^2 scans
-# peak at 3.8 rather than 11.7 MB of traced memory (Hessian, k=2) and 3.1
-# rather than 8.0 MB (pairing, k=1); masks and responses do not depend on the
-# size. Each block costs fixed Python overhead, which makes 2^19 the knee: a
-# 17^3 k=3 scan (about 19.7k floats per probe) runs 25-35% slower at 2^18
-# than at 2^21, and within 8% of it at 2^19, faster on a quiet host.
-_BLOCK = 1 << 19
+# Floats in one temporary block of the row-blocked kernels: 2^17, 1 MB. A
+# support scan sizes its blocks of probes from it, gw_report its blocks of
+# corners, and a fresh CLI process faults each block's pages in. Against
+# 2^19, the benchmark's 33^2 scans trace 121k rather than 457k floats
+# (Hessian, k=2) and 92k rather than 318k (pairing, k=1), and their commands
+# peak at 30.4-30.5 rather than 33.0-33.3 MB of RSS; masks and responses do
+# not depend on the size. Each block costs about 0.8 ms of fixed Python
+# overhead in 3D, so a scan takes at least gw._SCAN_PROBES probes a block.
+_BLOCK = 1 << 17
 # Grid plus dual-grid points on the axis, times lines, in one block of a
 # Legendre axis pass (_separable_max): 2^14. Each block pays _line_max's
 # fixed cost, a few dozen numpy calls per bisection step. On the seed-3
@@ -33,6 +36,7 @@ _BLOCK = 1 << 19
 _LINES = 1 << 14
 
 
+@cache
 def _directions(ndim):
     """Axis and diagonal step directions, one representative per +-pair."""
     dirs = []
@@ -46,7 +50,7 @@ def _directions(ndim):
             first = next(v for v in d if v)
             if first > 0:
                 dirs.append(tuple(d))
-    return dirs
+    return tuple(dirs)
 
 
 def _shifted_views(values, d):
@@ -158,10 +162,11 @@ def _require_finite(**args):
             raise ValueError(f"{name} must be finite")
 
 
-def _by_rows(count, width, block):
+def _by_rows(count, width, block, least=1):
     """block(i, j) for rows i:j of `count`, in blocks of about _BLOCK / width
-    rows so no temporary exceeds _BLOCK floats; results are stacked."""
-    rows = max(1, _BLOCK // width)
+    rows, and at least `least`, so no temporary exceeds _BLOCK floats unless
+    `least` rows do; results are stacked."""
+    rows = max(least, _BLOCK // width)
     return np.concatenate([block(i, i + rows) for i in range(0, count, rows)])
 
 
@@ -464,15 +469,19 @@ def epi_distance(f: ExtGridFn, g: ExtGridFn) -> float:
     return total
 
 
-def body_to_function(K: Polytope, domain: GridDomain) -> ExtGridFn:
-    """Sample x -> h_K(x, -1) = max over vertices (y,t) of <y,x> - t."""
-    n = domain.ndim
+def _support_values(K: Polytope, axes):
+    """h_K(x, -1) = max over vertices (y,t) of <y,x> - t at every point of
+    the product grid `axes`, in its shape."""
+    n = len(axes)
     if K.ambient_dim != n + 1:
         raise ValueError("polytope must live in V* x R")
-    y = K.vertices[:, :n]
-    t = K.vertices[:, n]
-    vals = _pairing_max(domain.points(), y, t)
-    return ExtGridFn(domain, vals.reshape(domain.shape))
+    vals = _pairing_max(_product_points(axes), K.vertices[:, :n], K.vertices[:, n])
+    return vals.reshape(tuple(a.size for a in axes))
+
+
+def body_to_function(K: Polytope, domain: GridDomain) -> ExtGridFn:
+    """Sample x -> h_K(x, -1) on the grid."""
+    return ExtGridFn(domain, _support_values(K, domain.axes()))
 
 
 def reconstruct_from_conjugate(f: ExtGridFn, R: float,
@@ -661,15 +670,17 @@ def _curvature(stack, spacing):
     """
     ndim = stack.ndim - 1
     axes = tuple(range(1, ndim + 1))
-    curv = np.zeros(stack.shape[0])
-    for d in _directions(ndim):
+    dirs = _directions(ndim)
+    denominators = np.sum((spacing * np.array(dirs))**2, axis=1)
+    curv = np.empty((len(dirs), stack.shape[0]))
+    for c, d in enumerate(dirs):
         vm, vc, vp = _shifted_views(stack, (0,) + d)
         second = np.multiply(vc, -2.0)
         second += vm
         second += vp
         np.abs(second, out=second)
-        curv = np.maximum(curv, np.max(second, axis=axes) / np.sum((spacing * np.array(d))**2))
-    return curv
+        curv[c] = np.max(second, axis=axes) / denominators[c]
+    return np.max(curv, axis=0)
 
 
 def central_hessian_at(values, spacing, idx):
@@ -686,27 +697,22 @@ def central_hessian_at(values, spacing, idx):
     if np.any(idx < 1) or np.any(idx > shape - 2):
         raise ValueError("Hessian stencil leaves the grid")
     flat = values.reshape(values.shape[:-n] + (-1,))
-    strides = np.ones(n, dtype=int)
-    for a in range(n - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
+    strides = [prod(grid[a + 1:]) for a in range(n)]  # the flat offset of e_a
     base = idx @ strides
 
     def at(offset):
-        vals = flat[..., base + np.asarray(offset, dtype=int) @ strides]
-        if not np.all(np.isfinite(vals)):
+        vals = flat[..., base + offset]
+        if not np.isfinite(vals).all():
             raise ValueError("Hessian stencil touches a +inf cell")
         return vals
 
-    center = at(np.zeros(n, dtype=int))
+    center = at(0)
     H = np.empty(center.shape + (n, n))
-    for i in range(n):
-        e = np.zeros(n, dtype=int)
-        e[i] = 1
-        H[..., i, i] = (at(e) - 2.0 * center + at(-e)) / dx[i]**2
+    for i, si in enumerate(strides):
+        H[..., i, i] = (at(si) - 2.0 * center + at(-si)) / dx[i]**2
         for j in range(i + 1, n):
-            ej = np.zeros(n, dtype=int)
-            ej[j] = 1
-            mixed = (at(e + ej) - at(e - ej) - at(-e + ej) + at(-e - ej)) \
+            sj = strides[j]
+            mixed = (at(si + sj) - at(si - sj) - at(-si + sj) + at(-si - sj)) \
                 / (4.0 * dx[i] * dx[j])
             H[..., i, j] = mixed
             H[..., j, i] = mixed

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainExceeded
 
@@ -18,6 +17,13 @@ def _frozen(arr, dtype=float):
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _product_points(axes):
+    """The points of the product grid of `axes` as an (N, ndim) array,
+    row-major (last axis fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +83,7 @@ class GridDomain:
 
     def points(self):
         """All grid points as an (N, ndim) array, row-major (last axis fastest)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _product_points(self.axes())
 
     def point_norms(self, center=None):
         c = self.center if center is None else np.asarray(center, dtype=float)
@@ -206,8 +211,14 @@ def _dilate(mask):
 def _window_cells(shape, window, starts):
     """Flat indices (P, *window) of the cells of P boxes of shape `window` on
     a grid of shape `shape`, whose first cells are the (P, n) starts."""
-    flat = np.arange(prod(shape)).reshape(shape)
-    return sliding_window_view(flat, tuple(window))[tuple(np.asarray(starts).T)]
+    starts = np.asarray(starts, dtype=np.intp)
+    n = len(shape)
+    cells = np.zeros((len(starts),) + (1,) * n, dtype=np.intp)
+    for a, w in enumerate(window):
+        along = starts[:, a].reshape((-1,) + (1,) * n) + np.arange(w).reshape(
+            (w,) + (1,) * (n - 1 - a))
+        cells = cells + along * prod(shape[a + 1:])
+    return cells
 
 
 def _bounding_window(mask):

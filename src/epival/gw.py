@@ -52,11 +52,21 @@ _MAX_ORDER = 16
 
 # The most corner values one pairing, polarization or scan may take: corner
 # rows x window cells x probes. It is checked before any corner is built.
-# gw and polarize hold every corner at once, 1 GiB at this bound; a scan
-# holds one convex._BLOCK of them at a time, and its run time grows with the
-# count (a 17^3 k = 3 Hessian scan at radius 0.3 takes 10.1M values, in about
-# 0.8 s).
+# polarize holds every corner at once, 1 GiB at this bound; gw and a scan
+# hold one convex._BLOCK of them at a time, or one corner's two rows or
+# _SCAN_PROBES probes where those take more, and the run time grows with
+# the count (a 17^3 k = 3 Hessian scan at radius 0.3 takes 10.1M values, in
+# about 0.6 s).
 _MAX_CORNER_VALUES = 1 << 27
+# The fewest probes in one block of a support scan. A block costs about
+# 0.8 ms of fixed Python overhead in 3D (curvatures, stencil gathers, window
+# cells), whatever its size, so a 17^3 k = 3 Hessian scan at radius 0.3,
+# whose probes take about 19.7k floats each, would run 819 blocks of 6 probes
+# at convex._BLOCK and take twice as long. 24 probes (205 blocks) keeps that
+# scan faster than with 4 MB blocks and traces 1.68 MB against 1.81 MB.
+# Smaller windows, such as the benchmark's 33^2 scans, fit more probes in a
+# block, and the floor does not bind.
+_SCAN_PROBES = 24
 
 
 def _check_order(k):
@@ -113,7 +123,7 @@ def polarize(spec, k: int, fs) -> float:
     distinct, mults = _multiset([f.values for f in fs])
     _check_work(prod(m + 1 for m in mults) + 1, g.values.size)  # two homogeneity rows
     plan = _corner_plan(mults)
-    corners = _corners(np.zeros((1,) + g.values.shape), np.stack(distinct)[None], plan,
+    corners = _corners(np.zeros((1,) + g.values.shape), np.stack(distinct)[None], plan[1:],
                        np.ones((1, 1)))[0, 0]
     rows = np.concatenate([[g.values * 2.0, g.values], corners])
     vals = _evaluate_stack(spec, g.domain, rows)
@@ -166,13 +176,13 @@ def _corner_plan(mults):
     return plan
 
 
-def _corners(base_vals, phis, plan, steps):
-    """(P, S, C, *W) stack of the non-base corners of P probes, each at its
-    S steps, where base_vals is (P, *W) or, shared, (1, *W), phis is
-    (P, G, *W) and steps is (P, S)."""
+def _corners(base_vals, phis, corners, steps):
+    """(P, S, C, *W) stack of the C corners, (coefficient, counts) entries of
+    a _corner_plan, of P probes, each at its S steps, where base_vals is
+    (P, *W) or, shared, (1, *W), phis is (P, G, *W) and steps is (P, S)."""
     steps = steps.reshape(steps.shape + (1,) * (phis.ndim - 2))
-    out = np.empty(steps.shape[:2] + (len(plan) - 1,) + phis.shape[2:])
-    for c, (_, js) in enumerate(plan[1:]):
+    out = np.empty(steps.shape[:2] + (len(corners),) + phis.shape[2:])
+    for c, (_, js) in enumerate(corners):
         vals = base_vals[:, None]
         for g, j in enumerate(js):
             if j:
@@ -195,13 +205,26 @@ def _difference(plan, base_value, vals, h, k):
     return total / (factorial(k) * h**k)
 
 
-def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
+def _row_floats(window, ndim):
+    """Floats one corner row on `window` takes while it is evaluated: about
+    three copies of the row alive at once, and up to one n x n Hessian per
+    inner window cell, with as much again for the stencils and the mixed
+    determinant."""
+    return 3 * prod(window) + 2 * ndim**2 * prod(w - 2 for w in window)
+
+
+def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells, width=None):
     """Mixed differences of P probes at their steps h (P,) and at h/2, with
     the agreement check; mu(base) = base_value, and phis is (P, G, *W), the G
     distinct tests of each probe with multiplicities mults on its window,
     whose flat grid indices are cells (P, *W). Tests vanish on the two outer
     layers of a window's cells, except where it meets the grid's edge, and
     the caller makes sure that every corner is convex.
+
+    The corners are built and evaluated all at once or, given the floats
+    `width` that one corner of the P probes takes at both steps, in blocks
+    of convex._BLOCK floats (_by_rows). Each corner row is reduced on its
+    own, so the values do not depend on the blocks.
 
     Corners differ from the base only inside the window, so a probe is
     evaluated there. Its mixed difference is the one of the window form mu_W,
@@ -214,15 +237,22 @@ def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells):
     """
     k = sum(mults)
     plan = _corner_plan(mults)
-    window = cells.shape[1:]
+    P, window = len(h), cells.shape[1:]
     base_win = base_vals.ravel()[cells]
     mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
     # mu = mu_W + offset at every corner: the noise floor scales with mu,
     # whose rounding in the stencils the window terms alone understate
     offset = base_value - mu_w
-    stack = _corners(base_win, phis, plan, np.stack([h, h / 2.0], axis=1))
-    vals = _evaluate_windows(spec, dom, stack.reshape((stack.shape[0], -1) + window),
-                             cells).reshape(stack.shape[:3])
+    steps = np.stack([h, h / 2.0], axis=1)
+
+    def corner_values(i, j):  # (C, P, 2): mu_W at the C corners i:j of plan[1:]
+        stack = _corners(base_win, phis, plan[1:][i:j], steps)
+        vals = _evaluate_windows(spec, dom, stack.reshape((P, -1) + window), cells)
+        return np.moveaxis(vals.reshape(stack.shape[:3]), 2, 0)
+
+    corners = len(plan) - 1
+    vals = np.moveaxis(corner_values(0, corners) if width is None
+                       else _by_rows(corners, width, corner_values), 0, 2)
     v1 = _difference(plan, mu_w, vals[:, 0], h, k)
     v2 = _difference(plan, mu_w, vals[:, 1], h / 2.0, k)
     m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(v + offset[:, None]), axis=1))
@@ -250,7 +280,7 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     whole = np.arange(dom.size).reshape((1,) + dom.shape)
     v1, v2, corner_max, floor = (float(v) for v in _gw_core(
         spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, np.array([h]),
-        whole)[:, 0])
+        whole, width=2 * _row_floats(dom.shape, dom.ndim))[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included. It is 0
     # when mu is 0 at every corner, where the denominator is 0 too
@@ -335,12 +365,12 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         h = _auto_step(k, _curvature(phis[:, 0], dom.spacing))
         return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h, cells)[[0, 3]].T
 
-    # a probe's temporaries: its 2k corner rows (steps h and h/2) on the
-    # window, about three copies alive at once, and up to one n x n Hessian
-    # per inner window cell, with as much again for the stencils and the
-    # mixed determinant
-    width = 2 * k * (3 * prod(window) + 2 * dom.ndim**2 * prod(w - 2 for w in window))
-    responses, floors = _by_rows(dom.size, width, block).T.reshape((2,) + dom.shape)
+    # a probe's temporaries are its 2k corner rows (steps h and h/2) on the
+    # window; a block of probes is one block of corners in _gw_core, since
+    # splitting it again costs each part the per-block overhead
+    width = 2 * k * _row_floats(window, dom.ndim)
+    responses, floors = _by_rows(dom.size, width, block, _SCAN_PROBES).T.reshape(
+        (2,) + dom.shape)
     size = np.abs(responses)
     mask = ScanMask(dom, size > np.maximum(tol * np.max(size), floors))
     return (mask, responses) if return_responses else mask

@@ -9,7 +9,6 @@ mask files are written there _CHUNK values at a time.
 
 import json
 import os
-import tempfile
 from collections import Counter
 
 import numpy as np
@@ -24,8 +23,8 @@ from .valuations import Composite, Constant, HessianDensity, PairingMeasure
 # whole list (medians of 15 interleaved writes): the per-chunk calls cost
 # nothing measurable.
 _CHUNK = 1 << 10
-# Composite specs a spec file may be nested in. Evaluating a spec recurses
-# through its composites, and a chain of 500 overflows Python's stack.
+# Composite specs a spec file may be nested in. Loading a spec recurses
+# through its composite files; the cap keeps it well within Python's stack.
 _NESTING = 100
 
 
@@ -52,9 +51,17 @@ def load_json(path):
 
 
 def _dump_atomic(pieces, path):
-    """Write the text pieces, in order, through a temp file renamed to path."""
+    """Write the text pieces, in order, through a temp file renamed to path.
+    The temp file is created as open(path, "w") would create path: mode
+    0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # a name in use: draw another
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for piece in pieces:
@@ -208,9 +215,10 @@ def load_valuation_spec(path):
     Pairing weights must satisfy both moment conditions at 1e-10; violating
     specs are refused. Malformed fields, composite specs that reference
     themselves and files nested in more than _NESTING composites raise
-    FormatError.
+    FormatError. A file that several composites name is read once, and
+    they share its spec.
     """
-    return _load_spec(os.path.abspath(path), ())
+    return _load_spec(os.path.abspath(path), (), {})
 
 
 def _finite(value, rank=None):
@@ -241,13 +249,26 @@ def _parse(kind, read):
         raise FormatError(f"bad {kind} spec field: {err}") from err
 
 
-def _load_spec(path, stack):
+def _load_spec(path, stack, loaded):
     """Fields are parsed first, so only the checks a built spec makes stay
-    preconditions (ValueError); `stack` holds the composites being loaded."""
+    preconditions (ValueError); `stack` holds the composites being loaded,
+    and `loaded` maps each file read so far to its spec and the depth of the
+    composites nested in it."""
     if path in stack:
         raise FormatError(f"composite spec cycle through {path}")
-    if len(stack) > _NESTING:
+    if path not in loaded:
+        if len(stack) > _NESTING:
+            raise FormatError(f"composite specs nested more than {_NESTING} deep")
+        loaded[path] = _read_spec(path, stack, loaded)
+    spec, depth = loaded[path]
+    if len(stack) + depth > _NESTING:
         raise FormatError(f"composite specs nested more than {_NESTING} deep")
+    return spec
+
+
+def _read_spec(path, stack, loaded):
+    """The spec in the file at `path` and the depth of the composites nested
+    in it (0 for a file that names no composite)."""
     obj = load_json(path)
     directory = os.path.dirname(path)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -256,24 +277,25 @@ def _load_spec(path, stack):
     if kind == "pairing":
         nodes, weights = _parse(kind, lambda: (_finite(obj["nodes"], rank=2),
                                                _finite(obj["weights"], rank=1)))
-        return PairingMeasure(nodes, weights)
+        return PairingMeasure(nodes, weights), 0
     if kind == "constant":
-        return Constant(_parse(kind, lambda: float(_finite(_number(obj["value"])))))
+        return Constant(_parse(kind, lambda: float(_finite(_number(obj["value"]))))), 0
     if kind == "hessian":
         order, weight, aux = _parse(kind, lambda: (
             _integer(obj["k"]), os.path.join(directory, obj["weight"]),
             [_finite(a) for a in obj.get("aux", ())]))
-        return HessianDensity(order, load_grid_fn(weight), aux)
+        return HessianDensity(order, load_grid_fn(weight), aux), 0
     if kind == "composite":
         terms = obj.get("terms")
         if not isinstance(terms, list):
             raise FormatError("composite spec needs a 'terms' list")
-        loaded = []
+        parts, depth = [], 0
         for item in terms:
             if not (isinstance(item, list) and len(item) == 2):
                 raise FormatError("composite terms are [coefficient, file] pairs")
             coef, ref = _parse(kind, lambda: (
                 float(_number(item[0])), os.path.abspath(os.path.join(directory, item[1]))))
-            loaded.append((coef, _load_spec(ref, stack + (path,))))
-        return Composite(loaded)
+            parts.append((coef, _load_spec(ref, stack + (path,), loaded)))
+            depth = max(depth, 1 + loaded[ref][1])
+        return Composite(parts), depth
     raise FormatError(f"unknown valuation kind {kind!r}")

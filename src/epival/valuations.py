@@ -9,14 +9,14 @@ the embedding into body valuations, and restriction to open sub-domains.
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
-from .convex import body_to_function, central_hessian_at, is_discretely_convex, restrict
+from .convex import _support_values, central_hessian_at, is_discretely_convex, restrict
 from .errors import ConvexityViolation
-from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _dilate, _interpolate_rows,
-                    _interpolation_corners, _margin_mask)
+from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _bounding_window, _dilate,
+                    _interpolate_rows, _interpolation_corners, _margin_mask)
 
 WEIGHT_CONDITION_TOL = 1e-10
 
@@ -105,47 +105,74 @@ class Composite:
         object.__setattr__(self, "terms", terms)
 
 
-def _permutation_signs(n):
-    """(permutation, sign) pairs of range(n)."""
-    out = []
-    for p in permutations(range(n)):
-        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-        out.append((p, -1.0 if inversions % 2 else 1.0))
-    return out
+def _det(cols):
+    """Closed-form determinant of the n x n matrices (n = 1 to 3) whose
+    columns are the stacks cols[j] of shape (..., n); broadcasts."""
+    if len(cols) == 1:
+        return cols[0][..., 0]
+    if len(cols) == 2:
+        a, b = cols
+        return a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
+    a, b, c = cols
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - c[..., 1] * b[..., 2])
+            - b[..., 0] * (a[..., 1] * c[..., 2] - c[..., 1] * a[..., 2])
+            + c[..., 0] * (a[..., 1] * b[..., 2] - b[..., 1] * a[..., 2]))
 
 
 def mixed_determinant(*mats):
     """Mixed discriminant of n symmetric n x n matrices, the polarization of det:
-    D(A_1..A_n) = (1/n!) sum over permutations s, t of
-    sign(s) sign(t) prod_i (A_i)[s(i), t(i)]
+    D(A_1..A_n) = (1/n!) sum over permutations s of det[A_s(1) e_1 | ... | A_s(n) e_n]
     (Schneider, Convex Bodies: The Brunn-Minkowski Theory, section 5.1).
 
-    Accepts n stacked arrays of shape (..., n, n); broadcasts over leading axes.
-    Every term is elementwise, so each leading index is computed on its own.
+    Arguments that are one object, as in [H] * order, form a group, and the
+    sum runs over the distinct assignments of groups to columns, each
+    counted by the product of the groups' factorials: D(H, H, H) is one
+    det, D(H, H, A) three. Accepts n stacked arrays of shape (..., n, n);
+    broadcasts over leading axes. Every term is elementwise, so each leading
+    index is computed on its own.
     """
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    n = mats[0].shape[-1]
-    if len(mats) != n:
+    groups = {}
+    for m in mats:
+        groups.setdefault(id(m), [m, 0])[1] += 1
+    arrays = [np.asarray(m, dtype=float) for m, _ in groups.values()]
+    n = arrays[0].shape[-1]
+    if len(mats) != n or any(a.shape[-2:] != (n, n) for a in arrays):
         raise ValueError("need exactly n matrices of size n x n")
     if n not in (1, 2, 3):
         raise ValueError("dimensions 1 to 3 only")
-    signs = _permutation_signs(n)
+    labels = [g for g, (_, count) in enumerate(groups.values()) for _ in range(count)]
     total = 0.0
-    for s, sign_s in signs:
-        for t, sign_t in signs:
-            term = mats[0][..., s[0], t[0]]
-            for i in range(1, n):
-                term = term * mats[i][..., s[i], t[i]]
-            total = total + (sign_s * sign_t) * term
-    return total / factorial(n)
+    for assignment in sorted(set(permutations(labels))):
+        total = total + _det([arrays[g][..., :, j] for j, g in enumerate(assignment)])
+    return total * (prod(factorial(count) for _, count in groups.values()) / factorial(n))
 
 
-def _leaves(spec, coef=1.0):
-    """(coefficient, spec) of every term of the spec that is no composite,
-    depth first: a composite's coefficients multiply into its terms'."""
-    if isinstance(spec, Composite):
-        return [leaf for c, s in spec.terms for leaf in _leaves(s, coef * c)]
-    return [(coef, spec)]
+def _leaves(spec):
+    """(coefficient, spec) of every distinct term of the spec that is no
+    composite, in depth-first order of first appearance: a composite's
+    coefficients multiply into its terms', and a term reached along several
+    paths takes the sum of theirs. Terms are told apart by identity, so a
+    composite that names another twice costs one visit, not one per path."""
+    if not isinstance(spec, Composite):
+        return [(1.0, spec)]
+    leaves, coefs, done, stack = {}, {id(spec): 1.0}, [], [(spec, iter(spec.terms))]
+    while stack:  # depth first, each composite once, without recursion
+        for _, s in stack[-1][1]:
+            if not isinstance(s, Composite):
+                leaves.setdefault(id(s), [0.0, s])
+            elif id(s) not in coefs:
+                coefs[id(s)] = 0.0
+                stack.append((s, iter(s.terms)))
+                break
+        else:
+            done.append(stack.pop()[0])
+    for node in reversed(done):  # each composite after every composite holding it
+        for c, s in node.terms:
+            if isinstance(s, Composite):
+                coefs[id(s)] += coefs[id(node)] * c
+            else:
+                leaves[id(s)][0] += coefs[id(node)] * c
+    return [(c, s) for c, s in leaves.values()]
 
 
 def _evaluate_stack(spec, domain: GridDomain, stack):
@@ -327,8 +354,15 @@ def component_functional(spec, deg: int):
 
 
 def embed_T(spec, K: Polytope, domain: GridDomain | None = None) -> float:
-    """Body valuation T(mu)[K] = mu(h_K(., -1)) sampled on the grid."""
-    return evaluate(spec, body_to_function(K, grid_domain(spec, domain)))
+    """Body valuation T(mu)[K] = mu(h_K(., -1)) sampled on the grid.
+
+    h_K is sampled on the bounding box of the cells mu reads (_read_mask),
+    where mu's window form is mu itself: every term's stencil lies inside
+    it. A spec with a callable reads the whole grid."""
+    dom = grid_domain(spec, domain)
+    crop, cells = _bounding_window(_read_mask(spec, dom))
+    h = _support_values(K, [a[s] for a, s in zip(dom.axes(), crop)])
+    return float(_evaluate_windows(spec, dom, h[None, None], cells)[0, 0])
 
 
 def res_star(spec, f: ExtGridFn, U_mask: ScanMask) -> float:

@@ -195,6 +195,27 @@ def mixed_coeff_oracle(values_fn, n, degree_per_axis, h=1.0):
     return float(data)
 
 
+def permutation_mixed_determinant(*mats):
+    """Mixed discriminant as the sum over all (n!)^2 permutation pairs:
+    (1/n!) sum over s, t of sign(s) sign(t) prod_i (A_i)[s(i), t(i)],
+    stacked over leading axes."""
+    from itertools import permutations
+    from math import factorial
+    n = len(mats)
+
+    def sign(p):
+        return -1.0 if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 else 1.0
+
+    total = 0.0
+    for s in permutations(range(n)):
+        for t in permutations(range(n)):
+            term = sign(s) * sign(t)
+            for i in range(n):
+                term = term * mats[i][..., s[i], t[i]]
+            total = total + term
+    return total / factorial(n)
+
+
 def inclusion_exclusion_mixed_determinant(*mats):
     """Mixed discriminant by polarizing det over subset sums:
     (1/n!) sum over nonempty S of (-1)^(n-|S|) det(sum_{i in S} A_i)."""

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import epival
 from epival import serialize
-from epival import Bump, ExtGridFn, GridDomain, Polytope, ScanMask
+from epival import Bump, ExtGridFn, FormatError, GridDomain, Polytope, ScanMask
 from epival.cli import build_parser, main
 from epival.serialize import (
     dump_json_atomic,
@@ -183,6 +183,46 @@ def test_composite_spec_cycle_exit2(tmp_path, capsys, refs):
     rc, err = _decompose_rc(tmp_path, capsys, tmp_path / next(iter(refs)))
     assert rc == 2
     assert "cycle" in err
+
+
+def test_a_file_named_by_many_composites_is_read_once(tmp_path, monkeypatch):
+    """A chain of 40 composites, each naming the next twice with weight 1/2,
+    has 2^40 paths to its leaf: it reads each of its 41 files once, and its
+    value is the leaf's."""
+    write_mu1(tmp_path / "c0.json")
+    for i in range(1, 41):
+        dump_json_atomic({"kind": "composite",
+                          "terms": [[0.5, f"c{i - 1}.json"], [0.5, f"c{i - 1}.json"]]},
+                         tmp_path / f"c{i}.json")
+    reads, load_json = [], serialize.load_json
+    monkeypatch.setattr(serialize, "load_json", lambda path: reads.append(path) or load_json(path))
+    spec = serialize.load_valuation_spec(tmp_path / "c40.json")
+    assert len(reads) == len(set(reads)) == 41
+    f = sample(GridDomain([-2.0], [2.0], [33]), lambda p: p[:, 0] ** 2 + np.sin(p[:, 0]))
+    leaf = serialize.load_valuation_spec(tmp_path / "c0.json")
+    assert epival.evaluate(spec, f) == epival.evaluate(leaf, f)
+
+
+def test_a_file_read_once_is_still_refused_deeper_than_the_cap(tmp_path):
+    """x5 holds five composites. The root names it directly and again at the
+    end of a chain of composites: at depth 92 it fits the cap of 100, at
+    depth 100 it does not, although it was read at depth 1 first."""
+    write_mu1(tmp_path / "x0.json")
+    for i in range(1, 6):
+        dump_json_atomic({"kind": "composite", "terms": [[1.0, f"x{i - 1}.json"]]},
+                         tmp_path / f"x{i}.json")
+    dump_json_atomic({"kind": "composite", "terms": [[1.0, "x5.json"]]}, tmp_path / "d0.json")
+    for i in range(1, 99):
+        dump_json_atomic({"kind": "composite", "terms": [[1.0, f"d{i - 1}.json"]]},
+                         tmp_path / f"d{i}.json")
+    for depth, chain in ((92, "d90.json"), (100, "d98.json")):
+        dump_json_atomic({"kind": "composite", "terms": [[1.0, "x5.json"], [1.0, chain]]},
+                         tmp_path / "root.json")
+        if depth + 5 <= serialize._NESTING:
+            serialize.load_valuation_spec(tmp_path / "root.json")
+        else:
+            with pytest.raises(FormatError, match="nested more than"):
+                serialize.load_valuation_spec(tmp_path / "root.json")
 
 
 NODES = [[1.0], [-1.0], [0.0]]
@@ -989,6 +1029,21 @@ def _commands(tmp_path):
 
 
 REPORT_OUT = {"polarize", "gw", "seminorm"}
+
+
+@pytest.mark.parametrize("command", ["transform", "scan", "decompose", "gw"])
+def test_outputs_take_the_umask_permissions(tmp_path, capsys, command):
+    """A grid, a mask, a CSV and a report file are created as open(path, "w")
+    creates them: 0o666 less the umask."""
+    argv = _commands(tmp_path)[command]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert os.stat(tmp_path / "out.data").st_mode & 0o777 == 0o644
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("command", ["transform", "decompose", "polarize", "gw",

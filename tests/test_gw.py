@@ -302,6 +302,7 @@ def test_scan_does_not_depend_on_block_size(monkeypatch):
     whole = [support_scan(spec, 2, 0.5, domain=d, return_responses=True)[1],
              support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1]]
     # blocks of a single probe, and of a few probes with a ragged last block
+    monkeypatch.setattr(epival.gw, "_SCAN_PROBES", 1)
     for block in (1, 7 * 2 * 2 * d.size * 4):
         monkeypatch.setattr(epival.convex, "_BLOCK", block)
         assert np.array_equal(
@@ -405,23 +406,56 @@ def test_scan_windows_match_the_whole_grid(monkeypatch, kind):
 
 
 def test_scan_allocates_at_most_two_and_a_half_blocks():
+    """A 65^2 k=2 scan at radius 0.3 fits many probes in a block. A 17^3 k=3
+    scan takes the floor of gw._SCAN_PROBES = 24 probes, about 19.7k floats
+    each by support_scan's estimate, more than one convex._BLOCK of 2^17: its
+    bound is 400k floats, under 2.5 blocks of 2^19 (measured 346k; 376k
+    with 2^19-float blocks)."""
     d2 = GridDomain([-2.0] * 2, [2.0] * 2, [65, 65])
     d3 = GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3)
-    for spec, k in ((hess2(d2, radius=1.2), 2),
-                    (HessianDensity(3, Bump(d3.center, 1.2, 1.0).sample(d3)), 3)):
-        assert peak_floats(lambda: support_scan(spec, k, 0.3)) <= 2.5 * epival.convex._BLOCK
+    for spec, k, bound in ((hess2(d2, radius=1.2), 2, 2.5 * epival.convex._BLOCK),
+                           (HessianDensity(3, Bump(d3.center, 1.2, 1.0).sample(d3)), 3,
+                            400_000)):
+        assert peak_floats(lambda: support_scan(spec, k, 0.3)) <= bound
 
 
-def test_benchmark_sized_scans_allocate_at_most_six_megabytes():
+def test_benchmark_sized_scans_allocate_at_most_200k_floats():
     """The probe workload's scans, a 33^2 Hessian k=2 and a 33^2 pairing k=1
     scan at radius 0.3, each start a fresh process, where every float of a
-    block is a page faulted in: measured about 480k and 390k floats (1.46M
-    and 1.0M with 16 MB blocks)."""
+    block is a page faulted in: measured about 121k and 92k floats (457k and
+    318k with 4 MB blocks, 1.46M and 1.0M with 16 MB blocks)."""
     d = grid2d(n=33)
     pairing = PairingMeasure([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]],
                              [1.0, -1.0, -1.0, 1.0])
     for spec, k in ((hess2(d, radius=1.2), 2), (pairing, 1)):
-        assert peak_floats(lambda: support_scan(spec, k, 0.3, domain=d)) <= 750_000
+        assert peak_floats(lambda: support_scan(spec, k, 0.3, domain=d)) <= 200_000
+
+
+def _gw_k3_3d():
+    """A 17^3 Hessian density of order 3 and a query of three distinct bumps:
+    14 whole-grid corner rows at steps h and h/2."""
+    d = GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3)
+    bumps = [Bump([0.2, -0.1, 0.3], 0.8, 1.0), Bump([-0.3, 0.2, 0.0], 0.7, 1.0),
+             Bump([0.0, 0.3, -0.2], 0.9, 1.0)]
+    return HessianDensity(3, Bump(d.center, 1.2, 1.0).sample(d)), GWQuery(3, bumps)
+
+
+def test_gw_report_takes_its_corners_in_blocks():
+    """Each corner's two rows (about 151k floats by _row_floats) are built
+    and evaluated in a block of their own: measured 85k floats, against
+    212k when the 14 rows were built at once."""
+    spec, query = _gw_k3_3d()
+    assert peak_floats(lambda: gw_report(spec, query)) <= 100_000
+
+
+def test_gw_report_does_not_depend_on_block_size(monkeypatch):
+    spec, query = _gw_k3_3d()
+    monkeypatch.setattr(epival.convex, "_BLOCK", 1 << 30)
+    whole = gw_report(spec, query)  # every corner at once
+    # one corner a block; three of the seven, with a ragged last block
+    for block in (1, 3 * 2 * epival.gw._row_floats((17,) * 3, 3)):
+        monkeypatch.setattr(epival.convex, "_BLOCK", block)
+        assert gw_report(spec, query) == whole
 
 
 def test_scan_refuses_a_negative_tol():

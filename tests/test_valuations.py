@@ -32,7 +32,8 @@ from epival.grids import _bounding_window, _dilate, _window_cells
 from epival.valuations import _evaluate_stack, _evaluate_windows, _leaves, _read_mask, grid_domain
 
 from helpers import (SPEC_KINDS, grid1d, grid2d, grid3d, inclusion_exclusion_mixed_determinant,
-                     mixed_coeff_oracle, quadratic, random_spec, sample)
+                     mixed_coeff_oracle, peak_floats, permutation_mixed_determinant, quadratic,
+                     random_spec, sample)
 
 
 def mu1(x=1.0):
@@ -301,6 +302,24 @@ def test_composite_and_constant():
     assert evaluate(spec, f) == pytest.approx(2 * 3 + 0.5 * 2, abs=1e-12)
 
 
+def test_leaves_merge_a_term_reached_along_several_paths():
+    """One term per leaf object, in depth-first order of first appearance,
+    with the sum of the coefficients of its paths."""
+    a, b = Constant(1.0), mu1()
+    inner = Composite([(2.0, a), (3.0, b), (1.0, a)])
+    spec = Composite([(0.5, inner), (1.0, b), (0.25, inner)])
+    assert [(c, id(s)) for c, s in _leaves(spec)] == [(2.25, id(a)), (3.25, id(b))]
+
+
+def test_a_composite_chain_deeper_than_the_stack_evaluates():
+    d = grid1d()
+    f = sample(d, lambda p: p[:, 0] ** 2)
+    spec = mu1()
+    for _ in range(5000):
+        spec = Composite([(1.0, spec)])
+    assert evaluate(spec, f) == evaluate(mu1(), f)
+
+
 # ---------------------------------------------------------------- residuals
 
 def test_valuation_residual_pairing_and_constant():
@@ -541,7 +560,62 @@ def test_mixed_determinant_matches_inclusion_exclusion(n):
     assert got[2, 3] == mixed_determinant(*[M[2, 3] for M in stack])
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), pattern=st.sampled_from(["AAA", "AAB", "ABC", "equal"]),
+       lead=st.sampled_from([(), (7,), (3, 4)]), seed=st.integers(0, 2**32 - 1))
+def test_mixed_determinant_matches_the_permutation_sum(n, pattern, lead, seed):
+    """The sum over distinct column assignments against the sum over all
+    permutation pairs, for random symmetric (..., n, n) stacks passed as one
+    object n times (A, A, A), one object and others (A, A, B) or (A, B), n
+    distinct objects, and n distinct arrays of equal values."""
+    rng = np.random.default_rng(seed)
+    mats = [M + np.swapaxes(M, -1, -2) for M in rng.normal(size=(n,) + lead + (n, n))]
+    if pattern == "AAA":
+        mats = [mats[0]] * n
+    elif pattern == "AAB":
+        mats = [mats[0]] * (n - 1) + mats[n - 1:]
+    elif pattern == "equal":
+        mats = [mats[0].copy() for _ in range(n)]
+    got, want = mixed_determinant(*mats), permutation_mixed_determinant(*mats)
+    scale = np.prod([np.max(np.abs(M), axis=(-2, -1)) for M in mats], axis=0)
+    assert np.shape(got) == lead
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
+
+
 # ------------------------------------------------------------------ embedding
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ndim=st.integers(1, 3), kind=st.sampled_from(SPEC_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_embed_samples_the_read_cells_as_the_whole_grid_does(ndim, kind, seed):
+    """h_K sampled on the bounding box of the read cells gives the value mu
+    takes at h_K sampled on the whole grid."""
+    rng = np.random.default_rng(seed)
+    d = {1: grid1d(n=17), 2: grid2d(n=13), 3: grid3d(n=9)}[ndim]
+    spec = random_spec(kind, d, rng)
+    K = Polytope(np.column_stack([rng.uniform(-1.5, 1.5, size=(5, ndim)),
+                                  rng.uniform(-1.0, 1.0, size=5)]))
+    want = evaluate(spec, body_to_function(K, d))
+    assert embed_T(spec, K, d) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_embed_samples_only_the_box_of_the_read_cells():
+    """A pairing whose nodes lie in a 0.25-wide box of a 257^2 grid reads a
+    9 x 9 box: measured 9.5k floats, the grid's read mask included, against
+    933k when h_K was sampled on the whole grid (66k cells, 6 vertices)."""
+    d = GridDomain([-2.0] * 2, [2.0] * 2, [257] * 2)
+    pair = PairingMeasure([[0.1, 0.1], [0.3, 0.1], [0.1, 0.3], [0.3, 0.3]],
+                          [1.0, -1.0, -1.0, 1.0])
+    rng = np.random.default_rng(1)
+    K = Polytope(np.column_stack([rng.uniform(-1.5, 1.5, size=(6, 2)),
+                                  rng.uniform(-1.0, 1.0, size=6)]))
+    assert embed_T(pair, K, d) == evaluate(pair, body_to_function(K, d))
+    assert peak_floats(lambda: embed_T(pair, K, d)) <= 20_000
+
+
+def test_embed_refuses_a_polytope_of_another_dimension():
+    with pytest.raises(ValueError, match="polytope must live in"):
+        embed_T(mu1(), Polytope([[1.0, 0.0, 0.0]]), GridDomain([-2.0], [2.0], [33]))
+
 
 def test_embed_translation_invariance_and_value():
     d = GridDomain([-2.0], [2.0], [129])
