@@ -24,15 +24,16 @@ from .grids import (Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mas
 # not depend on the size. Each block costs about 0.8 ms of fixed Python
 # overhead in 3D, so a scan takes at least gw._SCAN_PROBES probes a block.
 _BLOCK = 1 << 17
-# Grid plus dual-grid points on the axis, times lines, in one block of a
-# Legendre axis pass (_separable_max): 2^14. Each block pays _line_max's
+# Floats one block of a Legendre axis pass (_separable_max) holds per
+# line, times lines: 2^14. A bisected line counts its grid plus dual-grid
+# points, N + M, a direct one its N M terms. Each block pays _line_max's
 # fixed cost, a few dozen numpy calls per bisection step. On the seed-3
 # 129^2 benchmark input (3 blocks of 43 lines a pass), legendre peaks at 2.9
 # floats per grid and dual-grid point against 6.2 when each pass took all
 # lines at once, and _separable_max takes 7.8 ms against 6.8 (medians of 60
 # interleaved calls); 2^13 gives 2.3 floats in 10.2 ms and 2^15 3.9 floats
-# in 6.7 ms. The command's peak RSS is within 0.2 MB from 2^13 to 2^15: the
-# grid reader's peak is about as high.
+# in 6.7 ms. Direct blocks sized by N + M held 11.1 floats per point on
+# 17^3; by N M they hold 4.3, for 0.2 ms more per legendre and gap.
 _LINES = 1 << 14
 
 
@@ -132,11 +133,15 @@ def slope_range(f: ExtGridFn):
     dx = f.domain.spacing
     for a in range(f.domain.ndim):
         v = np.moveaxis(f.values, a, -1)
-        ok = np.isfinite(v[..., 1:]) & np.isfinite(v[..., :-1])
-        if np.any(ok):
-            d = (v[..., 1:][ok] - v[..., :-1][ok]) / dx[a]
-            lo.append(float(np.min(d)))
-            hi.append(float(np.max(d)))
+        ok = np.isfinite(v[..., 1:])
+        ok &= np.isfinite(v[..., :-1])
+        if np.any(ok):  # the quotients of the finite pairs, in one temporary
+            d = np.full(ok.shape, np.inf)
+            np.subtract(v[..., 1:], v[..., :-1], out=d, where=ok)
+            d /= dx[a]
+            lo.append(float(d.min()))
+            d[~ok] = -np.inf
+            hi.append(float(d.max()))
         else:
             lo.append(0.0)
             hi.append(0.0)
@@ -182,40 +187,48 @@ def _separable_max(vals, axes, dual_axes):
 
     The grid is a product, so the maximum factors axis by axis: each pass
     maximises over one axis of p, for a block of lines of that axis at once
-    (_line_max). The blocks are equal slices of the first other axis, as
-    few as keep (grid + dual points on the axis) x lines within _LINES, so
-    a pass holds the input, its output and one block's temporaries. A line's
-    maximum does not depend on the other lines of its block. -inf cells drop
-    out of every later maximum.
+    (_line_max), which writes into the pass's output. The blocks are equal
+    slices of the first other axis, as few as keep the floats a line holds
+    (see _LINES) times lines within _LINES, so a pass holds the input, its
+    output and one block's temporaries. A line's maximum does not depend on
+    the other lines of its block. -inf cells drop out of every later maximum.
     """
     for a, (xa, ya) in enumerate(zip(axes, dual_axes)):
         lines = np.moveaxis(vals, a, 0)
         rest = lines.shape[1:]
         # (N, R, S): a slice of R is a view of whole lines
-        lines = lines.reshape((xa.size, rest[0] if rest else 1, -1))
-        out = np.empty((ya.size,) + lines.shape[1:])
-        blocks = -(-(xa.size + ya.size) * lines[0].size // _LINES)
+        n, m = xa.size, ya.size
+        lines = lines.reshape((n, rest[0] if rest else 1, -1))
+        out = np.empty((m,) + lines.shape[1:])
+        held = n * m if _stride(n, m) == 1 else n + m  # N M terms when direct
+        blocks = -(-held * lines[0].size // _LINES)
         step = -(-lines.shape[1] // blocks)
-        for i in range(0, lines.shape[1], step):
-            part = lines[:, i:i + step]
-            out[:, i:i + step] = _line_max(part.reshape(xa.size, -1), xa, ya).reshape(
-                (ya.size,) + part.shape[1:])
-        vals = np.moveaxis(out.reshape((ya.size,) + rest), 0, a)
+        for i in range(0, lines.shape[1], step):  # (M, L) views of whole lines
+            _line_max(lines[:, i:i + step].reshape(n, -1), xa, ya,
+                      out[:, i:i + step].reshape(m, -1))
+        vals = np.moveaxis(out.reshape((m,) + rest), 0, a)
     return vals
 
 
-def _line_max(p, x, y):
-    """(M, L) maxima over i of g_j(i) = fl(fl(y_j x_i) + p_i) for each column
-    p of the (N, L) array p and each y_j of the increasing y, bit for bit the
-    direct maximum, in O(L (N log M + M)) work and O(L (N + M)) memory, with
-    L the lines of one block of _separable_max. A column's maxima depend on
-    no other column: D below is taken over the block, and any bound on the
-    rounding of its terms keeps every window's maximizer.
+def _stride(n, m):
+    """s of _line_max for N grid and M dual points on the axis."""
+    return max(1, -(-n * (m - 1) // (8 * (n + m))))
+
+
+def _line_max(p, x, y, out):
+    """The (M, L) maxima, written to `out`, over i of g_j(i) =
+    fl(fl(y_j x_i) + p_i) for each column p of the (N, L) array p and each
+    y_j of the increasing y, bit for bit the direct maximum, with L the
+    lines of one block of _separable_max: by bisection in O(L (N log M + M))
+    work and O(L (N + M)) memory, or directly in O(L N M) of both on short
+    axes. A column's maxima depend on no other column: D below is taken
+    over the block, and any bound on the rounding of its terms keeps every
+    window's maximizer.
 
     On short axes, where N (M - 1) <= 8 (N + M), every dual point is taken
     over whole lines in one block: the direct maximum. Otherwise every s-th
     dual point and the last, with s = ceil(N (M - 1) / (8 (N + M))), are
-    taken over whole lines, in chunks of about 2 (N + M) terms per line
+    taken over whole lines, in chunks of about N + M terms per line
     with the cells last: argmax along them gives each line's first
     maximizer k, and fl(fl(y_j x_k) + p_k), evaluated again, is the maximum,
     bit for bit. The rest are taken by bisection: the middle m of each
@@ -251,15 +264,14 @@ def _line_max(p, x, y):
     """
     n, rows = p.shape
     budget = 8 * rows * (n + y.size)
-    s = max(1, -(-n * (y.size - 1) // (8 * (n + y.size))))
+    s = _stride(n, y.size)
     if s == 1:  # every dual point: the direct maximum
-        return (np.multiply.outer(x, y)[:, :, None] + p[:, None, :]).max(axis=0)
-    out = np.empty((y.size, rows))
+        return (np.multiply.outer(x, y)[:, :, None] + p[:, None, :]).max(axis=0, out=out)
     arg = np.empty((y.size, rows), dtype=np.intp)
     flat, xs = p.T.ravel(), np.tile(x, rows)    # line by line
     lines, every = flat.reshape(rows, n), np.arange(rows)
     ends = np.append(np.arange(0, y.size - 1, s), y.size - 1)
-    per = max(1, 2 * (n + y.size) // n)         # dual points per first-block chunk
+    per = max(1, (n + y.size) // n)             # dual points per first-block chunk
     for j in range(0, ends.size, per):
         e = ends[j:j + per]
         g = np.multiply.outer(y[e], x)[:, None, :] + lines
@@ -320,11 +332,10 @@ def legendre(f: ExtGridFn, dual_domain: GridDomain | None = None) -> ExtGridFn:
         if np.any(dual_domain.lo > lo + slack) or np.any(dual_domain.hi < hi - slack):
             warnings.warn("dual domain does not cover the slope range of f",
                           stacklevel=2)
-    if not np.any(f.finite_mask):
-        raise ValueError("conjugate of an improper function")
-    # no name holds -f: _separable_max frees it after the first axis pass
-    return ExtGridFn(dual_domain, _separable_max(np.where(f.finite_mask, -f.values, -np.inf),
-                                                 f.domain.axes(), dual_domain.axes()))
+    # -f is the -inf sentinel at the +inf cells; no name holds it, so
+    # _separable_max frees it after the first axis pass
+    return ExtGridFn._of(dual_domain, _separable_max(np.negative(f.values), f.domain.axes(),
+                                                     dual_domain.axes()))
 
 
 def biconjugate(f: ExtGridFn, fstar: ExtGridFn | None = None) -> ExtGridFn:
@@ -336,18 +347,20 @@ def biconjugate(f: ExtGridFn, fstar: ExtGridFn | None = None) -> ExtGridFn:
     overshoot so the dominance invariant holds for the returned values.
     """
     fss = legendre(legendre(f) if fstar is None else fstar, f.domain)
-    vals = np.where(f.finite_mask, np.minimum(fss.values, f.values), fss.values)
-    return ExtGridFn(f.domain, vals)
+    # at the +inf cells of f the minimum is f**
+    return ExtGridFn._of(f.domain, np.minimum(fss.values, f.values))
 
 
 def biconjugate_gap(f: ExtGridFn, fstar: ExtGridFn | None = None) -> float:
     """sup over finite interior cells of |f** - f|; zero certifies convexity.
     `fstar`, when given, is legendre(f)."""
     fss = biconjugate(f, fstar)
-    sel = ~_margin_mask(f.domain.shape, 1) & f.finite_mask
+    inner = (slice(1, -1),) * f.domain.ndim
+    sel = np.isfinite(f.values[inner])
     if not np.any(sel):
         return 0.0
-    return float(np.max(np.abs(fss.values[sel] - f.values[sel])))
+    diff = np.subtract(fss.values[inner], f.values[inner], out=np.zeros(sel.shape), where=sel)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def _cone_min(tgt, src, vals, L, work):
@@ -403,18 +416,21 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
         raise ValueError("regularization of an improper function")
     pts = f.domain.points()
     vals = f.values.ravel()
-    cells = _tiles(fin.shape)
-    tp, tv = pts[cells], vals[cells]            # +inf sources never win
-    lo, hi, vmin = tp.min(axis=1), tp.max(axis=1), tv.min(axis=1)
     # the cells on every 4th grid line of each axis, for upper bounds
     strided = np.zeros(fin.shape, dtype=bool)
     strided[(slice(None, None, 4),) * fin.ndim] = True
     strided = (strided & fin).ravel()
     src, sv = pts[strided], vals[strided]
+    cells = _tiles(fin.shape)
+    tp, tv = pts[cells], vals[cells]            # +inf sources never win
+    del pts
+    lo, hi, vmin = tp.min(axis=1), tp.max(axis=1), tv.min(axis=1)
     out, work = np.empty(vals.size), np.empty(2 * tp.shape[1] * sv.size)
-    # kept boxes are taken `per` at a time, so the buffer holds at most 24
-    # floats per grid cell however many boxes a box keeps
-    per = max(1, 12 * vals.size // tp.shape[1] ** 2)
+    # kept boxes are taken `per` at a time, so the buffer holds at most 6
+    # floats per grid cell however many boxes a box keeps. On the seed-3
+    # 17^3 benchmark input it traces 0.70 MB against 1.01 MB at 24 floats,
+    # in up to 1.1x the time; 8 floats traced 0.77 MB
+    per = max(1, 3 * vals.size // tp.shape[1] ** 2)
     for a, box in enumerate(tp):
         # ub(x), the minimum over the strided sources, is attained and so an
         # upper bound. Box a skips box b when min_b f + L dist(a, b) > max_a
@@ -441,7 +457,7 @@ def lipschitz_regularize(f: ExtGridFn, r: float) -> ExtGridFn:
             best = np.minimum(best, _cone_min(box, tp[part].reshape(-1, box.shape[1]),
                                               tv[part].ravel(), L, work))
         out[cells[a]] = best
-    return ExtGridFn(f.domain, out.reshape(f.domain.shape))
+    return ExtGridFn._of(f.domain, out)
 
 
 def epi_distance(f: ExtGridFn, g: ExtGridFn) -> float:
@@ -481,7 +497,7 @@ def _support_values(K: Polytope, axes):
 
 def body_to_function(K: Polytope, domain: GridDomain) -> ExtGridFn:
     """Sample x -> h_K(x, -1) on the grid."""
-    return ExtGridFn(domain, _support_values(K, domain.axes()))
+    return ExtGridFn._of(domain, _support_values(K, domain.axes()))
 
 
 def reconstruct_from_conjugate(f: ExtGridFn, R: float,
@@ -515,7 +531,7 @@ def reconstruct_from_conjugate(f: ExtGridFn, R: float,
     # the body's support in direction (x, -1): a separable maximum over the
     # kept dual cells, the others carrying the -inf sentinel
     charge = np.where(keep, -np.maximum(fstar.values, -tcap), -np.inf)
-    return ExtGridFn(dom, _separable_max(charge, fstar.domain.axes(), dom.axes()))
+    return ExtGridFn._of(dom, _separable_max(charge, fstar.domain.axes(), dom.axes()))
 
 
 def _box_index_ranges(domain: GridDomain, lo, hi):
@@ -613,7 +629,7 @@ def extend_from_subdomain(f: ExtGridFn, A_lo, A_hi, s: float, fill=None) -> ExtG
     slopes, offsets = _lower_hull_planes(pts[box.ravel()], sub.values.ravel(), edge)
     out = np.array(f.values)
     out[targets] = _pairing_max(pts[targets.ravel()], slopes, -offsets)
-    return ExtGridFn(dom, out)
+    return ExtGridFn._of(dom, out)
 
 
 def _connected(mask):
@@ -627,8 +643,7 @@ def _connected(mask):
 def restrict(f: ExtGridFn, U_mask: ScanMask) -> ExtGridFn:
     """+inf outside the marked cells, f on them."""
     _check_mask(f, U_mask)
-    vals = np.where(U_mask.marked, f.values, np.inf)
-    return ExtGridFn(f.domain, vals)
+    return ExtGridFn._of(f.domain, np.where(U_mask.marked, f.values, np.inf))
 
 
 def lsc_extend(f_open: ExtGridFn, U_mask: ScanMask) -> ExtGridFn:
@@ -647,7 +662,7 @@ def lsc_extend(f_open: ExtGridFn, U_mask: ScanMask) -> ExtGridFn:
         hi = (slice(None),) * a + (slice(1, None),)
         best[hi] = np.minimum(best[hi], vals[lo])
         best[lo] = np.minimum(best[lo], vals[hi])
-    return ExtGridFn(f_open.domain, np.where(marked, vals, best))
+    return ExtGridFn._of(f_open.domain, np.where(marked, vals, best))
 
 
 def _check_mask(f: ExtGridFn, U_mask: ScanMask):
@@ -751,4 +766,4 @@ def convex_split(phi, domain: GridDomain | None = None):
         domain = phi.domain
     vals, c = _test_function(phi, domain)
     q = 0.5 * np.sum(domain.points()**2, axis=1).reshape(domain.shape)
-    return ExtGridFn(domain, c * q + vals), ExtGridFn(domain, c * q)
+    return ExtGridFn._of(domain, c * q + vals), ExtGridFn._of(domain, c * q)

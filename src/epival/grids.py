@@ -108,17 +108,28 @@ class ExtGridFn:
     values: np.ndarray
 
     def __init__(self, domain, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != tuple(domain.shape):
-            values = values.reshape(domain.shape)
+        """`values` are copied, so the caller's array may change later."""
+        self._take(domain, np.array(values, dtype=float))
+
+    @classmethod
+    def _of(cls, domain, values):
+        """The function of `values`, a float array made for it that no one
+        else holds: it is stored, write flag cleared, without a copy."""
+        fn = cls.__new__(cls)
+        fn._take(domain, np.asarray(values, dtype=float))
+        return fn
+
+    def _take(self, domain, values):
+        values = values.reshape(domain.shape)
         if np.any(np.isnan(values)):
             raise ValueError("NaN values are not allowed")
         if np.any(np.isneginf(values)):
             raise ValueError("-inf values are not allowed")
         if not np.any(np.isfinite(values)):
             raise ValueError("function must be proper (some finite value)")
+        values.setflags(write=False)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def finite_mask(self):
@@ -130,8 +141,8 @@ class ExtGridFn:
             raise ValueError("only nonnegative scaling keeps +inf consistent")
         if t == 0.0:
             vals = np.where(self.finite_mask, 0.0, np.inf)
-            return ExtGridFn(self.domain, vals)
-        return ExtGridFn(self.domain, self.values * t)
+            return ExtGridFn._of(self.domain, vals)
+        return ExtGridFn._of(self.domain, self.values * t)
 
     __rmul__ = __mul__
 
@@ -139,16 +150,15 @@ class ExtGridFn:
         """Pointwise f + <slope, x> + offset; +inf cells stay +inf."""
         slope = np.atleast_1d(np.asarray(slope, dtype=float))
         lin = (self.domain.points() @ slope + offset).reshape(self.domain.shape)
-        vals = np.where(self.finite_mask, self.values + lin, np.inf)
-        return ExtGridFn(self.domain, vals)
+        return ExtGridFn._of(self.domain, np.where(self.finite_mask, self.values + lin, np.inf))
 
     def maximum(self, other):
         self._check_same(other)
-        return ExtGridFn(self.domain, np.maximum(self.values, other.values))
+        return ExtGridFn._of(self.domain, np.maximum(self.values, other.values))
 
     def minimum(self, other):
         self._check_same(other)
-        return ExtGridFn(self.domain, np.minimum(self.values, other.values))
+        return ExtGridFn._of(self.domain, np.minimum(self.values, other.values))
 
     def _check_same(self, other):
         if not self.domain.same_as(other.domain):
@@ -329,8 +339,7 @@ class Bump:
         return _bump_values(pts, self.center[None], self.radius, self.amplitude)[0]
 
     def sample(self, domain: GridDomain) -> ExtGridFn:
-        vals = self.value(domain.points()).reshape(domain.shape)
-        return ExtGridFn(domain, vals)
+        return ExtGridFn._of(domain, self.value(domain.points()))
 
 
 @dataclass(frozen=True, eq=False)

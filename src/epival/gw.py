@@ -51,12 +51,12 @@ _MAX_ORDER = 16
 
 
 # The most corner values one pairing, polarization or scan may take: corner
-# rows x window cells x probes. It is checked before any corner is built.
-# polarize holds every corner at once, 1 GiB at this bound; gw and a scan
-# hold one convex._BLOCK of them at a time, or one corner's two rows or
-# _SCAN_PROBES probes where those take more, and the run time grows with
-# the count (a 17^3 k = 3 Hessian scan at radius 0.3 takes 10.1M values, in
-# about 0.6 s).
+# rows x window cells x probes. It is checked before any corner is built,
+# and gw checks k rows, its tests' samples, before it takes them. polarize,
+# gw and a scan hold one convex._BLOCK of corners at a time, or one corner
+# (two rows in gw) or _SCAN_PROBES probes where those take more, and the
+# run time grows with the count (a 17^3 k = 3 Hessian scan at radius 0.3
+# takes 10.1M values, in about 0.6 s).
 _MAX_CORNER_VALUES = 1 << 27
 # The fewest probes in one block of a support scan. A block costs about
 # 0.8 ms of fixed Python overhead in 3D (curvatures, stencil gathers, window
@@ -122,22 +122,22 @@ def polarize(spec, k: int, fs) -> float:
         raise ValueError("functions must share a domain")
     distinct, mults = _multiset([f.values for f in fs])
     _check_work(prod(m + 1 for m in mults) + 1, g.values.size)  # two homogeneity rows
-    plan = _corner_plan(mults)
-    corners = _corners(np.zeros((1,) + g.values.shape), np.stack(distinct)[None], plan[1:],
-                       np.ones((1, 1)))[0, 0]
-    rows = np.concatenate([[g.values * 2.0, g.values], corners])
-    vals = _evaluate_stack(spec, g.domain, rows)
-    a, b = float(vals[0]), float(vals[1])
+    dom, plan = g.domain, _corner_plan(mults)
+    base, phis, step = np.zeros((1,) + dom.shape), np.stack(distinct)[None], np.ones((1, 1))
+    # each row reduces on its own, so blocks of corners give the same bits
+    vals = _by_rows(len(plan) - 1, _row_floats(dom.shape, dom.ndim), lambda i, j: _evaluate_stack(
+        spec, dom, _corners(base, phis, plan[1:][i:j], step)[0, 0]))
+    a, b = map(float, _evaluate_stack(spec, dom, np.stack([g.values * 2.0, g.values])))
     if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
         raise ValueError("valuation fails the k-homogeneity residual check")
-    return float(_difference(plan, 0.0, vals[None, 2:], 1.0, k)[0])
+    return float(_difference(plan, 0.0, vals[None], 1.0, k)[0])
 
 
 def _base(spec, domain: GridDomain):
     """Values and mu-value of |x|^2 on `domain`, the base of every mixed
     difference. _auto_step's certificate rests on its samples being convex:
     one check of the base, not of the corners, confirms it."""
-    base = ExtGridFn(domain, np.sum(domain.points()**2, axis=1).reshape(domain.shape))
+    base = ExtGridFn._of(domain, np.sum(domain.points()**2, axis=1).reshape(domain.shape))
     if not is_discretely_convex(base):
         raise ConvexityViolation("base function is not convex")
     return base.values, evaluate(spec, base)
@@ -270,6 +270,7 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     """Goodey-Weil pairing value with the half-step verification data."""
     dom = grid_domain(spec, domain)
     k = query.order
+    _check_work(k, dom.size)  # the tests' samples, before any is taken
     stack, curvatures = zip(*(_test_function(phi, dom) for phi in query.tests))
     h = float(_auto_step(k, max(curvatures)))
     if not h > 0:  # k * curvature overflowed
@@ -305,6 +306,7 @@ def _diagonality(spec, query: GWQuery, domain: GridDomain | None = None) -> dict
     apart: a Hessian stencil reads its 3^n box, so no cell then sees two
     tests."""
     dom = grid_domain(spec, domain)
+    _check_work(query.order, dom.size)
     grown = [_dilate(_test_function(phi, dom)[0] != 0.0) for phi in query.tests]
     for i in range(len(grown)):
         for j in range(i + 1, len(grown)):
@@ -446,7 +448,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
 
     def samples():
         dist = dom.point_norms((A_lo + A_hi) / 2.0)
-        yield ExtGridFn(dom, (2.0 / float(np.max(dist[norm_box]))) * dist - 1.0)
+        yield ExtGridFn._of(dom, (2.0 / float(np.max(dist[norm_box]))) * dist - 1.0)
         del dist
         while True:
             yield random_convex_fn(dom, rng)
@@ -459,7 +461,7 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
         for ext, f in zip(exts, stream):
             m = float(np.max(np.abs(f.values[norm_box])))
             if m > 0:
-                f = ExtGridFn(dom, f.values / m)
+                f = ExtGridFn._of(dom, f.values / m)
             ext[...] = extend_from_subdomain(f, A_lo, A_hi, s, reads).values[crop]
         best = max(best, float(np.max(np.abs(_evaluate_windows(spec, dom, exts[None], cells)))))
     return best

@@ -46,4 +46,4 @@ def random_convex_fn(domain: GridDomain, rng) -> ExtGridFn:
             quad += (Q[a, a] if a == b else Q[a, b] + Q[b, a]) * x[a] * x[b]
     quad *= 0.5
     vals += quad
-    return ExtGridFn(domain, vals)
+    return ExtGridFn._of(domain, vals)

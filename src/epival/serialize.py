@@ -9,7 +9,8 @@ mask files are written there _CHUNK values at a time.
 
 import json
 import os
-from collections import Counter
+from json.decoder import WHITESPACE, scanstring
+from operator import countOf
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .valuations import Composite, Constant, HessianDensity, PairingMeasure
 # whole list (medians of 15 interleaved writes): the per-chunk calls cost
 # nothing measurable.
 _CHUNK = 1 << 10
+# Characters of a grid file read at a time: 2^14, about 800 values as the
+# writer spells them.
+_PIECE = 1 << 14
 # Composite specs a spec file may be nested in. Loading a spec recurses
 # through its composite files; the cap keeps it well within Python's stack.
 _NESTING = 100
@@ -30,6 +34,9 @@ _NESTING = 100
 
 def _reject_constant(name):
     raise FormatError(f"non-finite literal {name!r} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def loads(text: str):
@@ -147,8 +154,10 @@ def save_grid_fn(f: ExtGridFn, path):
 def _grid_values(listed):
     """A grid file's value list as floats: JSON numbers, finite and within
     the float range, and the string "inf" for +inf."""
-    kinds = Counter(map(type, listed))
-    if not kinds.keys() <= {int, float, str} or kinds[str] != listed.count("inf"):
+    kinds = set(map(type, listed))
+    infs = listed.count("inf") if str in kinds else 0
+    if not kinds <= {int, float, str} or (str in kinds
+                                          and countOf(map(type, listed), str) != infs):
         bad = next(v for v in listed if type(v) not in (int, float) and v != "inf")
         raise FormatError(f"bad grid value {bad!r}")
     try:
@@ -156,22 +165,125 @@ def _grid_values(listed):
     except OverflowError as err:
         raise FormatError(f"grid value beyond the float range: {err}") from err
     # a number that reads as +-inf, such as 1e999, adds one beyond the strings
-    if np.count_nonzero(np.isinf(values)) != kinds[str]:
+    if np.count_nonzero(np.isinf(values)) != infs:
         raise FormatError("non-finite numeric value in grid file")
     return values
 
 
+class _Text:
+    """A file read _PIECE characters at a time; buf[pos:] is not yet parsed."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, "", 0
+
+    def more(self, size=None):
+        piece = self.fh.read(size or _PIECE)
+        if piece:
+            self.buf, self.pos = self.buf[self.pos:] + piece, 0
+        return bool(piece)
+
+    def peek(self):
+        """The next character that is not JSON whitespace; "" at the end."""
+        while True:
+            self.pos = WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def take(self, chars):
+        """The next character, which must be one of `chars`."""
+        c = self.peek()
+        if not c or c not in chars:
+            raise FormatError(f"invalid JSON: expecting one of {chars!r}")
+        self.pos += 1
+        return c
+
+    def value(self, decode):
+        """decode(buf, pos) -> (value, end) on as much of the file as it
+        takes; a value that ends the buffer, a number perhaps, is not whole."""
+        size = _PIECE
+        while True:
+            try:
+                value, end = decode(self.buf, self.pos)
+                if end < len(self.buf) or not self.more(size):
+                    self.pos = end
+                    return value
+            except json.JSONDecodeError as err:
+                if not self.more(size):
+                    raise FormatError(f"invalid JSON: {err}") from err
+            except RecursionError as err:
+                raise FormatError("invalid JSON: nested too deeply") from err
+            size *= 2
+
+
+def _array_rest(s, i):
+    listed, end = _DECODER.raw_decode("[" + s[i:])
+    return listed, i + end - 1
+
+
+def _values(text):
+    """The JSON array at `text` as the floats of _grid_values, or the
+    FormatError of its first bad piece, which a later "values" may replace.
+
+    A piece up to the last comma read that parses alone is whole values, so
+    that comma separates elements; the first that does not is read with the
+    rest of the array."""
+    text.pos += 1  # the '['
+    # grown in place: parts kept to concatenate would hold every value twice
+    values, error = np.empty(0), None
+    while True:
+        if len(text.buf) - text.pos < _PIECE:
+            text.more()
+        cut = text.buf.rfind(",", text.pos)
+        try:
+            listed = cut > text.pos and loads(f"[{text.buf[text.pos:cut]}]")
+        except FormatError:
+            listed = None
+        if not listed:  # whitespace alone reads as [], but ", ," is no array
+            listed = text.value(_array_rest)
+        else:
+            text.pos = cut + 1
+        if error is None:
+            try:
+                part = _grid_values(listed)
+            except FormatError as err:
+                error = err
+            else:
+                values.resize(values.size + part.size, refcheck=False)
+                values[values.size - part.size:] = part
+        if text.buf[text.pos - 1] == "]":
+            return error or values
+
+
 def load_grid_fn(path) -> ExtGridFn:
-    obj = load_json(path)
-    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list) \
-            or "domain" not in obj:
+    """The grid function in a grid file, read _PIECE characters at a time:
+    the files json.loads and the checks on its object accept, the last of
+    repeated keys winning. No array is sized from the declared shape."""
+    with open(path, encoding="utf-8") as fh:
+        text, fields = _Text(fh), {}
+        try:
+            text.take("{")
+            sep = "," if text.peek() != "}" else text.take("}")
+            while sep == ",":
+                text.take('"')
+                key = text.value(scanstring)
+                text.take(":")
+                fields[key] = _values(text) if text.peek() == "[" and key == "values" \
+                    else text.value(_DECODER.raw_decode)
+                sep = text.take(",}")
+            if text.peek():
+                raise FormatError("invalid JSON: extra data")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path} is not UTF-8 text: {err}") from err
+    values = fields.get("values")
+    if not isinstance(values, (np.ndarray, FormatError)) or "domain" not in fields:
         raise FormatError("grid file needs 'domain' and a 'values' list")
-    domain = _domain_from_dict(obj["domain"])
-    values = _grid_values(obj["values"])
+    domain = _domain_from_dict(fields["domain"])
+    if isinstance(values, FormatError):
+        raise values
     if values.size != domain.size:
         raise FormatError("value count does not match the domain shape")
     try:
-        return ExtGridFn(domain, values)
+        return ExtGridFn._of(domain, values)
     except ValueError as err:
         raise FormatError(str(err)) from err
 

@@ -285,6 +285,37 @@ def reference_grid_json(f):
     return json.dumps({"domain": domain, "values": values}, sort_keys=True)
 
 
+def whole_text_load_grid_fn(path):
+    """The grid reader as it was before it streamed, an oracle for
+    serialize.load_grid_fn: json.loads of the whole text, then the checks on
+    the object, with one Python object per value."""
+    from collections import Counter
+
+    from epival import FormatError
+    from epival.serialize import _domain_from_dict, load_json
+    obj = load_json(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list) \
+            or "domain" not in obj:
+        raise FormatError("grid file needs 'domain' and a 'values' list")
+    domain = _domain_from_dict(obj["domain"])
+    listed = obj["values"]
+    kinds = Counter(map(type, listed))
+    if not kinds.keys() <= {int, float, str} or kinds[str] != listed.count("inf"):
+        raise FormatError("bad grid value")
+    try:
+        values = np.array(listed, dtype=float)
+    except OverflowError as err:
+        raise FormatError(f"grid value beyond the float range: {err}") from err
+    if np.count_nonzero(np.isinf(values)) != kinds[str]:
+        raise FormatError("non-finite numeric value in grid file")
+    if values.size != domain.size:
+        raise FormatError("value count does not match the domain shape")
+    try:
+        return ExtGridFn(domain, values)
+    except ValueError as err:
+        raise FormatError(str(err)) from err
+
+
 def peak_floats(call):
     """Peak of the memory `call()` allocates, in floats."""
     tracemalloc.start()

@@ -25,7 +25,8 @@ from epival.serialize import (
     save_polytope,
 )
 
-from helpers import BLAS_THREADS, child_env, peak_floats, reference_grid_json, sample
+from helpers import (BLAS_THREADS, child_env, peak_floats, reference_grid_json, sample,
+                     whole_text_load_grid_fn)
 
 
 @pytest.fixture
@@ -641,6 +642,93 @@ def test_grid_file_round_trip_matches_per_value_encoder(tmp_path, data):
     assert np.array_equal(load_grid_fn(p).values, f.values)
 
 
+# spellings of grid values the reader refuses: a string, literals, a nested
+# list, a number beyond the float range, an integer beyond it, NaN
+_BAD_VALUES = ['"nan"', '"1.5"', "true", "null", "[1, 2]", '{"a": ","}', "1e999",
+               "9" * 400, "NaN", "-Infinity"]
+
+
+def _spelled_value(data):
+    kind = data.draw(st.sampled_from(["float", "int", "exp", "inf", "bad"]))
+    if kind == "float":
+        return json.dumps(data.draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "int":
+        return str(data.draw(st.integers(-10**20, 10**20)))
+    if kind == "exp":
+        return (data.draw(st.sampled_from(["", "-"])) + str(data.draw(st.integers(0, 999)))
+                + data.draw(st.sampled_from(["", ".5", ".0625"]))
+                + data.draw(st.sampled_from(["e", "E"])) + data.draw(st.sampled_from(["", "+", "-"]))
+                + str(data.draw(st.integers(0, 320))))
+    if kind == "inf":
+        return '"inf"'
+    return data.draw(st.sampled_from(_BAD_VALUES)) if data.draw(st.integers(0, 9)) == 0 else "1.0"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_streamed_grid_reader_matches_the_whole_text_reader(tmp_path, monkeypatch, data):
+    """1D-3D grid files with "inf" cells, integers and exponent forms, random
+    whitespace, keys in any order and repeated, and some malformed: the
+    reader, in pieces of a few characters or of 2^14, returns the bits the
+    whole-text reader returns, and refuses the files it refuses."""
+    monkeypatch.setattr(serialize, "_PIECE", data.draw(st.sampled_from([1, 7, 64, 1 << 14])))
+    ws = lambda: data.draw(st.sampled_from(["", " ", "\n", "\t ", "\r\n  "]))  # noqa: E731
+    shape = data.draw(st.lists(st.integers(3, 5), min_size=1, max_size=3))
+    count = int(np.prod(shape)) + data.draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+
+    def array(items):
+        return "[" + ws() + ("," + ws()).join(items) + ws() + "]"
+
+    domain = "{" + ws() + ("," + ws()).join([
+        f'"lo"{ws()}:{ws()}' + array(["-1.5"] * len(shape)),
+        f'"hi"{ws()}:{ws()}' + array(["2"] * len(shape)),
+        f'"shape"{ws()}:{ws()}' + array([str(n) for n in shape])]) + ws() + "}"
+    members = [("domain", domain), ("values", array([_spelled_value(data) for _ in range(count)]))]
+    extras = data.draw(st.lists(st.sampled_from([
+        ("values", array(["1.0", '"a, b]"', "[3, [4]]"])),       # replaced by a later "values"
+        ("values", array(["2.5"] * count)),
+        ("values", "7"),
+        ("domain", '{"lo": [0], "hi": [1], "shape": [3]}'),
+        ("note", '"x, y] }"'),
+        ("nested", '{"values": [1, 2], "k": [[], {}]}')]), max_size=2))
+    members = data.draw(st.permutations(members + extras))
+    text = ws() + "{" + ws() + ("," + ws()).join(
+        f'"{k}"{ws()}:{ws()}{v}' for k, v in members) + ws() + "}" + ws()
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = whole_text_load_grid_fn(path)
+    except FormatError:
+        with pytest.raises(FormatError):
+            load_grid_fn(path)
+        return
+    got = load_grid_fn(path)
+    assert got.domain.same_as(want.domain)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "", "[]", "{}", '{"domain": 1', '{"values": [1, 2,], "domain": {}}', '{"values": [1,, 2]}',
+    '{"values": [, 1]}', '{"a": 1,}', '{"a" 1}', '{"values": [1, 2]} x', '\ufeff{}',
+    '{"values": [1', '{"values": ["inf]}', '{"domain": {"lo": [0], "hi": [1], "shape": [3]}, '
+    '"values": [1, 2, 3], "values": [1, "x", 3]}'])
+def test_streamed_grid_reader_refuses_malformed_json(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(serialize, "_PIECE", 4)
+    (tmp_path / "g.json").write_text(text, encoding="utf-8")
+    for read in (load_grid_fn, whole_text_load_grid_fn):
+        with pytest.raises(FormatError):
+            read(tmp_path / "g.json")
+
+
+def test_grid_reader_takes_under_0_3_mb_on_129_squared(tmp_path):
+    """The whole text and one Python float per value took 0.86 MB; the
+    float array grown in place and one piece of text take 0.26 MB."""
+    d = GridDomain([-2.0] * 2, [2.0] * 2, [129, 129])
+    save_grid_fn(sample(d, lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])), tmp_path / "f.json")
+    assert peak_floats(lambda: load_grid_fn(tmp_path / "f.json")) * 8 <= 0.3e6
+
+
 def _whole_list_json(domain, key, listed):
     """A grid or mask file's text as the writer made it before it streamed:
     one json.dumps of the whole value list."""
@@ -830,6 +918,22 @@ def _assert_capped_run_fails(tmp_path, argv, code):
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out.data").exists()
+
+
+@pytest.mark.parametrize("diagonality", [[], ["--diagonality"]])
+def test_gw_refuses_a_grid_too_large_before_sampling_its_tests(tmp_path, capsys, monkeypatch,
+                                                               diagonality):
+    """One test on 2^28 cells exceeds the corner budget of 2^27 values: gw
+    exits 3 before it samples the test on the grid."""
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a test was sampled")
+
+    monkeypatch.setattr(epival.gw, "_test_function", no_samples)
+    write_mu1(tmp_path / "mu1.json")
+    argv = ["gw", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--bump=0.3:0.7:1",
+            f"--grid=-2:2:{1 << 28}"]
+    assert main(argv + diagonality) == 3
+    assert "work budget" in capsys.readouterr().err
 
 
 def test_a_grid_file_declaring_a_huge_shape_exits_2(tmp_path):

@@ -940,17 +940,20 @@ def test_legendre_takes_its_first_block_in_chunks():
 
 
 def test_conjugate_kernels_take_memory_linear_in_the_grids():
-    """At most 10 floats per grid and dual-grid point for legendre
-    (measured: 8.9 for the 1D transform, whose one line is one block; 2.9 on
-    129^2) and 24 for the regularizations (measured: 14.6 and 18.9; their
-    largest part is the buffer of one box against its kept cells, which
-    holds at most 24 floats per grid cell however many are kept)."""
+    """At most 10 floats per grid and dual-grid point for legendre on long
+    axes (measured: 8.4 for the 1D transform, whose one line is one block;
+    2.8 on 129^2) and 6 on 17^3, whose direct passes hold N M terms a line
+    (measured: 4.3; 11.1 when they were sized by N + M), and 10 for the
+    regularizations (measured: 8.1 and 8.9; their largest part is the
+    buffer of one box against its kept cells, at most 6 floats per grid
+    cell however many are kept)."""
     rng = np.random.default_rng(7)
     reg = lambda f: lipschitz_regularize(f, 0.5)  # noqa: E731
     for f, call, bound in [
             (random_convex_fn(GridDomain([-3.0], [3.0], [4097]), rng), legendre, 10),
             (random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [129, 129]), rng), legendre, 10),
-            (random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [65, 65]), rng), reg, 24),
-            (random_convex_fn(GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3), rng), reg, 24)]:
+            (random_convex_fn(GridDomain([-2.0] * 2, [2.0] * 2, [65, 65]), rng), reg, 10),
+            (random_convex_fn(GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3), rng), reg, 10),
+            (random_convex_fn(GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3), rng), legendre, 6)]:
         size = f.domain.size + default_dual_domain(f).size
         assert peak_floats(lambda: call(f)) <= bound * size

@@ -56,6 +56,25 @@ def test_grid_fn_invariants():
         f.values[0] = 3.0  # immutable
 
 
+@pytest.mark.parametrize("given", ["array", "view", "list"])
+def test_grid_fn_copies_what_its_caller_holds(given):
+    """A caller's array may change after construction; the function does not,
+    and its values cannot be written. The functions epival makes itself keep
+    the arrays made for them, read-only too."""
+    d = grid2d(n=5)
+    held = np.arange(25.0).reshape(5, 5)
+    arg = {"array": held, "view": held.T, "list": held.tolist()}[given]
+    f = ExtGridFn(d, arg)
+    want = np.array(arg, dtype=float)
+    held[...] = -7.0
+    assert np.array_equal(f.values, want)
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 1.0
+    for g in (f * 2.0, f.add_affine([1.0, 0.0]), f.maximum(f), f.minimum(f)):
+        assert not g.values.flags.writeable and not np.shares_memory(g.values, f.values)
+
+
 def test_grid_fn_scaling_keeps_infinity():
     d = grid1d(n=5)
     f = ExtGridFn(d, [np.inf, 1.0, 0.0, 1.0, np.inf])
