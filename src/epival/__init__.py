@@ -21,7 +21,7 @@ _HOMES = {
     "grids": ("Bump", "ExtGridFn", "GridDomain", "Polytope", "ScanMask", "interpolate"),
     "gw": (
         "GWQuery", "diagonality_residual", "gw_eval", "gw_report", "polarize",
-        "seminorm_estimate", "support_scan", "translate_covariance_residual",
+        "seminorm_estimate", "support_scan",
     ),
     "sampling": ("random_convex_fn",),
     "valuations": (

@@ -15,14 +15,11 @@ from .errors import ConvexityViolation, DomainExceeded
 from .grids import (Bump, ExtGridFn, GridDomain, Polytope, ScanMask, _margin_mask,
                     _product_points)
 
-# Floats in one temporary block of the row-blocked kernels: 2^17, 1 MB. A
-# support scan sizes its blocks of probes from it, gw_report its blocks of
-# corners, and a fresh CLI process faults each block's pages in. Against
-# 2^19, the benchmark's 33^2 scans trace 121k rather than 457k floats
-# (Hessian, k=2) and 92k rather than 318k (pairing, k=1), and their commands
-# peak at 30.4-30.5 rather than 33.0-33.3 MB of RSS; masks and responses do
-# not depend on the size. Each block costs about 0.8 ms of fixed Python
-# overhead in 3D, so a scan takes at least gw._SCAN_PROBES probes a block.
+# Floats in one temporary block of the row-blocked kernels: 2^17, 1 MB.
+# gw_report and polarize size their blocks of corners from it, a scan of a
+# spec with a callable its blocks of probes, and a fresh CLI process faults
+# each block's pages in. Rows reduce on their own, so no value depends on
+# the size.
 _BLOCK = 1 << 17
 # Floats one block of a Legendre axis pass (_separable_max) holds per
 # line, times lines: 2^14. A bisected line counts its grid plus dual-grid
@@ -167,11 +164,11 @@ def _require_finite(**args):
             raise ValueError(f"{name} must be finite")
 
 
-def _by_rows(count, width, block, least=1):
+def _by_rows(count, width, block):
     """block(i, j) for rows i:j of `count`, in blocks of about _BLOCK / width
-    rows, and at least `least`, so no temporary exceeds _BLOCK floats unless
-    `least` rows do; results are stacked."""
-    rows = max(least, _BLOCK // width)
+    rows, and at least one, so no temporary exceeds _BLOCK floats unless one
+    row does; results are stacked."""
+    rows = max(1, _BLOCK // width)
     return np.concatenate([block(i, i + rows) for i in range(0, count, rows)])
 
 
@@ -674,28 +671,26 @@ def _check_mask(f: ExtGridFn, U_mask: ScanMask):
         raise ValueError("mask is disconnected")
 
 
-def _curvature(stack, spacing):
-    """For each row of a (B, *grid) stack, the largest |second difference| /
-    |d∘dx|^2 over the directions d of _directions: the quotients that
-    _convex_rows reads.
+def _curvature(values, spacing):
+    """The largest |second difference| / |d∘dx|^2 of a grid of values over
+    the directions d of _directions, the quotients that _convex_rows reads;
+    inf where they overflow.
 
     |x|^2 has the second difference 2|d∘dx|^2 in every direction, so |x|^2
-    plus rows of curvature at most c, at steps that sum to at most 1/c, keeps
-    every second difference at least |d∘dx|^2 > 0.
+    plus functions of curvature at most c, at steps that sum to at most 1/c,
+    keeps every second difference at least |d∘dx|^2 > 0.
     """
-    ndim = stack.ndim - 1
-    axes = tuple(range(1, ndim + 1))
-    dirs = _directions(ndim)
+    dirs = _directions(values.ndim)
     denominators = np.sum((spacing * np.array(dirs))**2, axis=1)
-    curv = np.empty((len(dirs), stack.shape[0]))
-    for c, d in enumerate(dirs):
-        vm, vc, vp = _shifted_views(stack, (0,) + d)
-        second = np.multiply(vc, -2.0)
-        second += vm
-        second += vp
-        np.abs(second, out=second)
-        curv[c] = np.max(second, axis=axes) / denominators[c]
-    return np.max(curv, axis=0)
+    curv = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        for d, den in zip(dirs, denominators):
+            vm, vc, vp = _shifted_views(values, d)
+            second = np.multiply(vc, -2.0)
+            second += vm
+            second += vp
+            curv = max(curv, float(np.max(np.abs(second, out=second)) / den))
+    return curv
 
 
 def central_hessian_at(values, spacing, idx):
@@ -746,8 +741,7 @@ def _test_function(phi, domain: GridDomain):
         raise ValueError("test function domain mismatch")
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("phi must be finite everywhere")
-    with np.errstate(over="ignore"):
-        curvature = float(_curvature(phi.values[None], domain.spacing)[0])
+    curvature = _curvature(phi.values, domain.spacing)
     if curvature == np.inf:
         raise ValueError("the curvature of phi overflows the float range")
     return phi.values, curvature

@@ -218,27 +218,11 @@ def _dilate(mask):
     return out
 
 
-def _window_cells(shape, window, starts):
-    """Flat indices (P, *window) of the cells of P boxes of shape `window` on
-    a grid of shape `shape`, whose first cells are the (P, n) starts."""
-    starts = np.asarray(starts, dtype=np.intp)
-    n = len(shape)
-    cells = np.zeros((len(starts),) + (1,) * n, dtype=np.intp)
-    for a, w in enumerate(window):
-        along = starts[:, a].reshape((-1,) + (1,) * n) + np.arange(w).reshape(
-            (w,) + (1,) * (n - 1 - a))
-        cells = cells + along * prod(shape[a + 1:])
-    return cells
-
-
 def _bounding_window(mask):
-    """Slices and flat indices (1, *W) of the smallest box of the boolean
-    grid `mask` that holds every set cell; its first cell when none is set."""
-    at = np.nonzero(mask)
-    first = [int(i.min()) if i.size else 0 for i in at]
-    window = tuple(int(i.max()) + 1 - f if i.size else 1 for i, f in zip(at, first))
-    return (tuple(slice(f, f + w) for f, w in zip(first, window)),
-            _window_cells(mask.shape, window, [first]))
+    """Slices of the smallest box of the boolean grid `mask` that holds every
+    set cell; its first cell when none is set."""
+    return tuple(slice(int(i.min()), int(i.max()) + 1) if i.size else slice(0, 1)
+                 for i in np.nonzero(mask))
 
 
 def _margin_mask(shape, width):
@@ -297,9 +281,8 @@ class Polytope:
 
 def _bump_values(pts, centers, radius, amplitude=1.0):
     """(C, N) values of the bumps with the given (C, n) centers and a shared
-    radius and amplitude, at N points: (N, n) shared ones or (C, N, n), a set
-    per bump. Each value is bit-identical to Bump(center, radius,
-    amplitude).value at its point."""
+    radius and amplitude at the (N, n) points. Each value is bit-identical to
+    Bump(center, radius, amplitude).value at its point."""
     d = pts - centers[:, None]
     u = np.sum(d * d, axis=-1) / radius**2
     out = np.zeros(u.shape)

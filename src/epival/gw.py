@@ -8,32 +8,31 @@ the polynomial has total degree at most k, so the extraction is independent
 of the base and of the step size, which the implementation verifies by
 re-running at half the step. So both are fixed: the base is |x|^2 and the
 step comes from the tests' curvature, which keeps every corner convex
-(_auto_step), and no run checks a corner. Many probes are evaluated at
-once: their corners form one stack.
+(_auto_step), and no run checks a corner.
 
-A corner differs from the base only where its tests do not vanish, so a
-support scan evaluates each probe on a window of O(probe support) cells, in
-the valuation's window form, whose terms beyond the window cancel in the
-mixed difference, at the step of its own curvature. gw_report is the same
-computation with the whole grid as its one window, on which the window form
-is the valuation itself.
+A support scan probes each cell c with the k-fold bump phi(x - c). Since
+|x - c|^2 - |x|^2 is affine, dual epi-translation invariance makes every
+probe the same test, translated: the scan samples one template, the bump
+at the origin on a box of cell offsets, takes one step from its curvature,
+and gets every probe's corner values at once, as correlations of each term
+of the valuation with kernels read off the template's corners.
 """
 
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial, inf, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .convex import (_by_rows, _curvature, _require_finite, _test_function,
-                     extend_from_subdomain, is_discretely_convex)
+                     central_hessian_at, extend_from_subdomain, is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import (ExtGridFn, GridDomain, ScanMask, _bounding_window, _bump_values, _dilate,
-                    _window_cells)
+                    _interpolation_corners, _product_points)
 from .sampling import random_convex_fn
-from .valuations import (PairingMeasure, _evaluate_stack, _evaluate_windows, _local,
-                         _read_mask, evaluate, grid_domain)
+from .valuations import (Constant, HessianDensity, PairingMeasure, _evaluate_stack, _leaves,
+                         _read_mask, evaluate, grid_domain, mixed_determinant)
 
 # Floats in one block of seminorm extensions, each cropped to the read
 # cells' box: 2^14, 128 KB. On 81^2, where a 5-node pairing reads a 31 x 34
@@ -45,28 +44,20 @@ _SAMPLES = 1 << 14
 REL_STEP_TOL = 1e-7
 _EPS = np.finfo(float).eps
 # The largest order k of a pairing, polarization or scan. It is refused
-# before any corner is built: k + 1 to 2^k corners of the grid or of each
-# probe's window, and binomial weights that overflow from k near 1030 on.
+# before any corner is built: k + 1 to 2^k corners of the grid or of the
+# scan's template, and binomial weights that overflow from k near 1030 on.
 _MAX_ORDER = 16
 
 
 # The most corner values one pairing, polarization or scan may take: corner
-# rows x window cells x probes. It is checked before any corner is built,
-# and gw checks k rows, its tests' samples, before it takes them. polarize,
-# gw and a scan hold one convex._BLOCK of corners at a time, or one corner
-# (two rows in gw) or _SCAN_PROBES probes where those take more, and the
-# run time grows with the count (a 17^3 k = 3 Hessian scan at radius 0.3
-# takes 10.1M values, in about 0.6 s).
+# rows x cells x probes, where a scan counts each probe's corner rows on
+# its window, the values a probe stands for whether its corners are
+# correlated or, for a callable, evaluated. It is checked before any corner
+# is built, and gw checks k rows, its tests' samples, before it takes them.
+# polarize, gw and a callable's scan hold one convex._BLOCK of corners at a
+# time, or one corner (two rows in gw, one probe in a scan) where that
+# takes more.
 _MAX_CORNER_VALUES = 1 << 27
-# The fewest probes in one block of a support scan. A block costs about
-# 0.8 ms of fixed Python overhead in 3D (curvatures, stencil gathers, window
-# cells), whatever its size, so a 17^3 k = 3 Hessian scan at radius 0.3,
-# whose probes take about 19.7k floats each, would run 819 blocks of 6 probes
-# at convex._BLOCK and take twice as long. 24 probes (205 blocks) keeps that
-# scan faster than with 4 MB blocks and traces 1.68 MB against 1.81 MB.
-# Smaller windows, such as the benchmark's 33^2 scans, fit more probes in a
-# block, and the floor does not bind.
-_SCAN_PROBES = 24
 
 
 def _check_order(k):
@@ -122,11 +113,10 @@ def polarize(spec, k: int, fs) -> float:
         raise ValueError("functions must share a domain")
     distinct, mults = _multiset([f.values for f in fs])
     _check_work(prod(m + 1 for m in mults) + 1, g.values.size)  # two homogeneity rows
-    dom, plan = g.domain, _corner_plan(mults)
-    base, phis, step = np.zeros((1,) + dom.shape), np.stack(distinct)[None], np.ones((1, 1))
+    dom, plan, phis = g.domain, _corner_plan(mults), np.stack(distinct)
     # each row reduces on its own, so blocks of corners give the same bits
     vals = _by_rows(len(plan) - 1, _row_floats(dom.shape, dom.ndim), lambda i, j: _evaluate_stack(
-        spec, dom, _corners(base, phis, plan[1:][i:j], step)[0, 0]))
+        spec, dom, _corners(0.0, phis, plan[1:][i:j], np.ones(1))[0]))
     a, b = map(float, _evaluate_stack(spec, dom, np.stack([g.values * 2.0, g.values])))
     if abs(a - 2.0**k * b) > 1e-8 * (1.0 + abs(a) + 2.0**k * abs(b)):
         raise ValueError("valuation fails the k-homogeneity residual check")
@@ -144,11 +134,12 @@ def _base(spec, domain: GridDomain):
 
 
 def _auto_step(k, curvature):
-    """The step at which k tests of at most this curvature (a number or an
-    array) keep every corner on |x|^2 convex; 0 where k * curvature
-    overflows."""
-    with np.errstate(over="ignore"):
-        return np.minimum(0.1, 1.0 / (k * np.maximum(curvature, 1e-12)))
+    """The step at which k tests of at most this curvature keep every corner
+    on |x|^2 convex; refused where k * curvature overflows, which makes it 0."""
+    h = min(0.1, 1.0 / (k * max(curvature, 1e-12)))
+    if not h > 0:
+        raise ValueError("step must be positive")
+    return h
 
 
 def _multiset(tests):
@@ -177,17 +168,17 @@ def _corner_plan(mults):
 
 
 def _corners(base_vals, phis, corners, steps):
-    """(P, S, C, *W) stack of the C corners, (coefficient, counts) entries of
-    a _corner_plan, of P probes, each at its S steps, where base_vals is
-    (P, *W) or, shared, (1, *W), phis is (P, G, *W) and steps is (P, S)."""
-    steps = steps.reshape(steps.shape + (1,) * (phis.ndim - 2))
-    out = np.empty(steps.shape[:2] + (len(corners),) + phis.shape[2:])
+    """(S, C, *W) stack of the C corners, (coefficient, counts) entries of a
+    _corner_plan, at each of the S steps, where base_vals is (*W) or a
+    number and phis is (G, *W), the distinct tests."""
+    steps = steps.reshape((-1,) + (1,) * (phis.ndim - 1))
+    out = np.empty((len(steps), len(corners)) + phis.shape[1:])
     for c, (_, js) in enumerate(corners):
-        vals = base_vals[:, None]
+        vals = base_vals
         for g, j in enumerate(js):
             if j:
-                vals = vals + (j * steps) * phis[:, None, g]
-        out[:, :, c] = vals
+                vals = vals + (j * steps) * phis[g]
+        out[:, c] = vals
     return out
 
 
@@ -197,8 +188,7 @@ def _noise_floor(corner_max, k, h):
 
 def _difference(plan, base_value, vals, h, k):
     """(1/(k! h^k)) sum over corners of coef * mu(corner) for each row of
-    the (P, C) non-base corner values, with mu(base) = base_value (a number
-    or (P,))."""
+    the (P, C) non-base corner values, with mu(base) = base_value."""
     total = np.full(vals.shape[0], plan[0][0] * base_value)
     for c, (coef, _) in enumerate(plan[1:]):
         total = total + coef * vals[:, c]
@@ -213,50 +203,25 @@ def _row_floats(window, ndim):
     return 3 * prod(window) + 2 * ndim**2 * prod(w - 2 for w in window)
 
 
-def _gw_core(spec, dom, base_vals, base_value, phis, mults, h, cells, width=None):
-    """Mixed differences of P probes at their steps h (P,) and at h/2, with
-    the agreement check; mu(base) = base_value, and phis is (P, G, *W), the G
-    distinct tests of each probe with multiplicities mults on its window,
-    whose flat grid indices are cells (P, *W). Tests vanish on the two outer
-    layers of a window's cells, except where it meets the grid's edge, and
-    the caller makes sure that every corner is convex.
+def _gw_core(mults, base_value, vals, h):
+    """Mixed differences of P probes at the step h and at h/2, with the
+    agreement check: vals (P, 2, C) holds mu at each probe's non-base
+    corners (the rows of _corner_plan(mults)[1:]) at both steps, and
+    mu(base) = base_value. gw_report evaluates its one probe's corners,
+    a scan correlates every probe's.
 
-    The corners are built and evaluated all at once or, given the floats
-    `width` that one corner of the P probes takes at both steps, in blocks
-    of convex._BLOCK floats (_by_rows). Each corner row is reduced on its
-    own, so the values do not depend on the blocks.
-
-    Corners differ from the base only inside the window, so a probe is
-    evaluated there. Its mixed difference is the one of the window form mu_W,
-    where the terms beyond the window cancel. The noise floor scales with mu
-    itself, mu_W + mu(base) - mu_W(base) at a corner. On a window that is the
-    whole grid mu_W is mu.
+    The noise floor scales with the largest |mu| over a probe's corners,
+    the base included, whose rounding the mixed difference amplifies by
+    2^k / (k! h^k).
 
     Returns a (4, P) array of the value at h, the value at h/2, the largest
     |mu| over the corners at h, and the noise floor.
     """
     k = sum(mults)
     plan = _corner_plan(mults)
-    P, window = len(h), cells.shape[1:]
-    base_win = base_vals.ravel()[cells]
-    mu_w = _evaluate_windows(spec, dom, base_win[:, None], cells)[:, 0]
-    # mu = mu_W + offset at every corner: the noise floor scales with mu,
-    # whose rounding in the stencils the window terms alone understate
-    offset = base_value - mu_w
-    steps = np.stack([h, h / 2.0], axis=1)
-
-    def corner_values(i, j):  # (C, P, 2): mu_W at the C corners i:j of plan[1:]
-        stack = _corners(base_win, phis, plan[1:][i:j], steps)
-        vals = _evaluate_windows(spec, dom, stack.reshape((P, -1) + window), cells)
-        return np.moveaxis(vals.reshape(stack.shape[:3]), 2, 0)
-
-    corners = len(plan) - 1
-    vals = np.moveaxis(corner_values(0, corners) if width is None
-                       else _by_rows(corners, width, corner_values), 0, 2)
-    v1 = _difference(plan, mu_w, vals[:, 0], h, k)
-    v2 = _difference(plan, mu_w, vals[:, 1], h / 2.0, k)
-    m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(v + offset[:, None]), axis=1))
-              for v in (vals[:, 0], vals[:, 1]))
+    v1 = _difference(plan, base_value, vals[:, 0], h, k)
+    v2 = _difference(plan, base_value, vals[:, 1], h / 2.0, k)
+    m1, m2 = (np.maximum(abs(base_value), np.max(np.abs(vals[:, s]), axis=1)) for s in (0, 1))
     floor = _noise_floor(m1, k, h) + _noise_floor(m2, k, h / 2.0)
     bad = np.abs(v1 - v2) > REL_STEP_TOL * np.maximum(np.abs(v1), np.abs(v2)) + floor
     if np.any(bad):
@@ -272,16 +237,19 @@ def gw_report(spec, query: GWQuery, domain: GridDomain | None = None) -> dict:
     k = query.order
     _check_work(k, dom.size)  # the tests' samples, before any is taken
     stack, curvatures = zip(*(_test_function(phi, dom) for phi in query.tests))
-    h = float(_auto_step(k, max(curvatures)))
-    if not h > 0:  # k * curvature overflowed
-        raise ValueError("step must be positive")
+    h = _auto_step(k, max(curvatures))
     distinct, mults = _multiset(stack)
     _check_work(2 * (prod(m + 1 for m in mults) - 1), dom.size)  # at steps h and h/2
     base_vals, base_value = _base(spec, dom)
-    whole = np.arange(dom.size).reshape((1,) + dom.shape)
-    v1, v2, corner_max, floor = (float(v) for v in _gw_core(
-        spec, dom, base_vals, base_value, np.stack(distinct)[None], mults, np.array([h]),
-        whole, width=2 * _row_floats(dom.shape, dom.ndim))[:, 0])
+    plan, phis, steps = _corner_plan(mults), np.stack(distinct), np.array([h, h / 2.0])
+
+    def corner_values(i, j):  # (j - i, 2): mu at the corners i:j of plan[1:]
+        rows = _corners(base_vals, phis, plan[1:][i:j], steps).reshape((-1,) + dom.shape)
+        return _evaluate_stack(spec, dom, rows).reshape(2, -1).T
+
+    vals = _by_rows(len(plan) - 1, 2 * _row_floats(dom.shape, dom.ndim), corner_values)
+    v1, v2, corner_max, floor = (float(v) for v in _gw_core(mults, base_value, vals.T[None],
+                                                            h)[:, 0])
     # fixed points of the verification: agreement <= REL_STEP_TOL is exactly
     # the check the evaluation itself passed, noise floor included. It is 0
     # when mu is 0 at every corner, where the denominator is 0 too
@@ -330,10 +298,15 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     marked. Degree 0 reports the empty support; k above _MAX_ORDER is
     refused.
 
-    Each probe is evaluated on a window of floor(r / spacing) + 2 cells each
-    side of its node, shifted into the grid (the whole axis where that box
-    does not fit; the whole grid for a spec with a callable), see _gw_core,
-    at the step _auto_step gives for its curvature on |x|^2.
+    The probe at c is Bump(c, probe_radius) on |x|^2. Its samples are those
+    of one template T, the bump at the origin sampled at the cell offsets of
+    (2W - 1)^n cells, W = 2 floor(r / spacing) + 5 cells of a window on each
+    axis (the whole axis where that box does not fit; the whole grid for a
+    spec with a callable), shifted by c. So the second differences of every
+    probe, clipped by the grid's edge or not, are some of T's, and the one
+    step _auto_step gives for T's curvature keeps every probe's corners
+    convex. Each term of the valuation gives its change from mu(|x|^2) at
+    every probe's corners at once (_probe_changes).
     """
     dom = grid_domain(spec, domain)
     if k < 0:
@@ -346,65 +319,110 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
         return (mask, np.zeros(dom.shape)) if return_responses else mask
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
+    leaves = _leaves(spec)
     shape = np.array(dom.shape)
     half = shape
-    if _local(spec):  # a bump vanishes beyond floor(r / spacing) cells
+    if not any(callable(s) for _, s in leaves):  # a bump vanishes beyond floor(r / spacing) cells
         half = np.minimum(np.floor(probe_radius / dom.spacing) + 2, shape).astype(int)
-    window = tuple(int(w) for w in np.minimum(2 * half + 1, shape))
+    window = [int(w) for w in np.minimum(2 * half + 1, shape)]
     _check_work(2 * k, prod(window), dom.size)  # each probe at steps h and h/2
     base_vals, base_value = _base(spec, dom)
-    pts = dom.points()
-    starts = np.clip(np.indices(dom.shape).reshape(dom.ndim, -1).T - half, 0,
-                     shape - window)
-
-    def block(i, j):
-        cells = _window_cells(dom.shape, window, starts[i:j])
-        # the values Bump(pts[c], probe_radius).sample(dom) has on the window
-        phis = _bump_values(pts[cells.reshape(len(cells), -1)], pts[i:j], probe_radius)
-        phis = phis.reshape((len(cells), 1) + window)
-        # a window holds every nonzero sample of its probe and, on each side,
-        # two zero layers or the grid's edge: its curvature is the whole grid's
-        h = _auto_step(k, _curvature(phis[:, 0], dom.spacing))
-        return _gw_core(spec, dom, base_vals, base_value, phis, (k,), h, cells)[[0, 3]].T
-
-    # a probe's temporaries are its 2k corner rows (steps h and h/2) on the
-    # window; a block of probes is one block of corners in _gw_core, since
-    # splitting it again costs each part the per-block overhead
-    width = 2 * k * _row_floats(window, dom.ndim)
-    responses, floors = _by_rows(dom.size, width, block, _SCAN_PROBES).T.reshape(
-        (2,) + dom.shape)
+    offsets = _product_points([np.arange(1 - w, w) * dx for w, dx in zip(window, dom.spacing)])
+    template = _bump_values(offsets, np.zeros((1, dom.ndim)), probe_radius).reshape(
+        [2 * w - 1 for w in window])
+    h = _auto_step(k, _curvature(template, dom.spacing))
+    # j s T at both steps s: the corners of the probe at the origin, less the base
+    corners = _corners(0.0, template[None], _corner_plan((k,))[1:], np.array([h, h / 2.0]))
+    vals = np.full(corners.shape[:2] + dom.shape, base_value)
+    for coef, s in leaves:
+        vals += coef * _probe_changes(s, dom, corners, base_vals)
+    responses, floors = _gw_core((k,), base_value, np.moveaxis(
+        vals.reshape(vals.shape[:2] + (-1,)), -1, 0), h)[[0, 3]].reshape((2,) + dom.shape)
     size = np.abs(responses)
     mask = ScanMask(dom, size > np.maximum(tol * np.max(size), floors))
     return (mask, responses) if return_responses else mask
 
 
-def _hausdorff_cells(idx_a, idx_b) -> float:
-    """Symmetric Hausdorff distance between index sets, Chebyshev metric."""
-    if len(idx_a) == 0 and len(idx_b) == 0:
+def _probe_changes(s, dom: GridDomain, corners, base_vals):
+    """mu(base + corner at c) - mu(base) of a term mu that is no composite,
+    (S, C, *grid) at every probe c, where corners (S, C, *B) are the probe
+    at the origin's corners less the base on the box B of cell offsets, odd
+    on every axis and centred on offset 0, and base_vals the base's values.
+
+    A term is a sum over cells, so each change is a correlation (_correlate)
+    of a grid of the term's data with a kernel of the corners:
+    - a pairing's weights at the cells its nodes interpolate, with the
+      corners;
+    - for a Hessian density of order 1, linear in the Hessian, the weight
+      times D(E_ab, aux...) with entry ab of the corners' Hessians;
+    - for a higher order, which leaves at most one aux slot (n <= 3), the
+      weight with D((2I + H)^[order], aux) - D((2I)^[order], aux) of the
+      corners' Hessians H, 2I being the Hessian of |x|^2; a per-cell aux is
+      expanded over its n^2 entries, D being linear in it.
+    A callable takes the probes' whole-grid corner rows, which need a box
+    of twice the grid, a block of probes at a time.
+    """
+    n, box = dom.ndim, corners.shape[2:]
+    mid = np.array(box) // 2
+    support = np.any(corners != 0.0, axis=(0, 1))
+    if isinstance(s, Constant):
         return 0.0
-    if len(idx_a) == 0 or len(idx_b) == 0:
-        return inf
-    d = np.max(np.abs(idx_a[:, None, :] - idx_b[None, :, :]), axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if isinstance(s, PairingMeasure):
+        idx, w = _interpolation_corners(dom, s.nodes)
+        grid = np.bincount(idx.ravel(), (w * s.weights[:, None]).ravel(), dom.size)
+        at = np.nonzero(support)
+        return _correlate(grid.reshape((1,) + dom.shape), np.stack(at, axis=1) - mid,
+                          corners[(slice(None), slice(None)) + at][:, :, None])
+    if isinstance(s, HessianDensity):
+        # offsets whose stencil meets the template's support, inside the box
+        inner = tuple(slice(1, b - 1) for b in box)
+        idx = np.stack(np.nonzero(_dilate(support)[inner]), axis=1) + 1
+        H = central_hessian_at(corners, dom.spacing, idx)  # (S, C, M, n, n)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        if s.order == 1:
+            grids = [s.weight.values * mixed_determinant(e, *s.aux) for e in units]
+            kernels = H.reshape(H.shape[:3] + (n * n,))
+        else:
+            aux = s.aux[0] if s.aux else None
+            if aux is not None and aux.ndim > 2:  # per cell: D is linear in it
+                grids = [s.weight.values * aux[..., a, b] for a, b in np.ndindex(n, n)]
+                slots = [[e] for e in units]
+            else:
+                grids, slots = [s.weight.values], [list(s.aux)]
+            two = 2.0 * np.eye(n)
+            X = two + H
+            kernels = np.stack([mixed_determinant(*[X] * s.order, *m)
+                                - mixed_determinant(*[two] * s.order, *m) for m in slots], axis=-1)
+        return np.prod(dom.spacing) * _correlate(np.stack(grids), idx - mid,
+                                                 np.moveaxis(kernels, -1, 2))
+    # a callable: the probe at c is the box's corners cut to the grid shifted by c
+    cells = np.indices(dom.shape).reshape(n, -1).T
+
+    def block(i, j):  # (j - i, S C): mu at the corners of the probes i:j
+        rows = np.stack([corners[(slice(None), slice(None)) + tuple(
+            slice(m - c, m - c + g) for m, c, g in zip(mid, cell, dom.shape))]
+            for cell in cells[i:j]]) + base_vals
+        return _evaluate_stack(s, dom, rows.reshape((-1,) + dom.shape)).reshape(len(rows), -1)
+
+    vals = _by_rows(dom.size, corners.shape[0] * corners.shape[1] * dom.size, block)
+    mu_base = _evaluate_stack(s, dom, base_vals[None])[0]
+    return (vals - mu_base).T.reshape(corners.shape[:2] + dom.shape)
 
 
-def translate_covariance_residual(spec: PairingMeasure, v, probe_radius: float,
-                                  tol: float = 1e-6,
-                                  domain: GridDomain | None = None) -> float:
-    """Hausdorff distance (in cells) between the scan of the node-shifted
-    valuation and the shifted scan of the original."""
-    if not isinstance(spec, PairingMeasure):
-        raise TypeError("translate covariance probe is defined for pairings")
-    domain = grid_domain(spec, domain)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    shifted = spec.translate(v)
-    if not np.all(domain.contains(shifted.nodes)) or \
-            not np.all(domain.contains(spec.nodes)):
-        raise DomainExceeded("pairing nodes leave the grid domain")
-    m0 = support_scan(spec, 1, probe_radius, tol, domain)
-    m1 = support_scan(shifted, 1, probe_radius, tol, domain)
-    cells = np.rint(v / domain.spacing).astype(int)
-    return _hausdorff_cells(m1.indices(), m0.indices() + cells)
+def _correlate(grids, offsets, kernels):
+    """sum over q and m of kernels[..., q, m] * grids[q][c + offsets[m]] at
+    every cell c, reading 0 beyond the grid: (..., *grid) from grids
+    (Q, *grid), integer offsets (M, n), each within the grid's shape, and
+    kernels (..., Q, M). Slice sums, one per offset."""
+    lead, shape = kernels.shape[:-2], grids.shape[1:]
+    kernels = kernels.reshape((-1,) + kernels.shape[-2:])
+    out = np.zeros((len(kernels),) + shape)
+    for m, o in enumerate(offsets):
+        dst = tuple(slice(max(0, -a), g - max(0, a)) for a, g in zip(o, shape))
+        src = tuple(slice(max(0, a), g + min(0, a)) for a, g in zip(o, shape))
+        out[(slice(None),) + dst] += np.tensordot(kernels[:, :, m],
+                                                  grids[(slice(None),) + src], 1)
+    return out.reshape(lead + shape)
 
 
 def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
@@ -443,7 +461,8 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
     if np.count_nonzero(norm_box) < 2:
         raise ValueError("the norm box holds fewer than two grid cells")
     reads = _read_mask(spec, dom)
-    crop, cells = _bounding_window(reads)
+    crop = _bounding_window(reads)
+    window = tuple(c.stop - c.start for c in crop)
     rng = random.Random(seed)
 
     def samples():
@@ -454,14 +473,14 @@ def seminorm_estimate(spec, A_lo, A_hi, s: float, n_samples: int, seed: int,
             yield random_convex_fn(dom, rng)
 
     stream = samples()
-    rows = max(1, _SAMPLES // cells.size)
+    rows = max(1, _SAMPLES // prod(window))
     best = 0.0
     for start in range(0, n_samples, rows):
-        exts = np.empty((min(rows, n_samples - start),) + cells.shape[1:])
+        exts = np.empty((min(rows, n_samples - start),) + window)
         for ext, f in zip(exts, stream):
             m = float(np.max(np.abs(f.values[norm_box])))
             if m > 0:
                 f = ExtGridFn._of(dom, f.values / m)
             ext[...] = extend_from_subdomain(f, A_lo, A_hi, s, reads).values[crop]
-        best = max(best, float(np.max(np.abs(_evaluate_windows(spec, dom, exts[None], cells)))))
+        best = max(best, float(np.max(np.abs(_evaluate_stack(spec, dom, exts, crop)))))
     return best

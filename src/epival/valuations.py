@@ -47,10 +47,6 @@ class PairingMeasure:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def translate(self, v):
-        return PairingMeasure(self.nodes + np.asarray(v, dtype=float),
-                              self.weights, check=False)
-
 
 @dataclass(frozen=True, eq=False)
 class HessianDensity:
@@ -175,75 +171,47 @@ def _leaves(spec):
     return [(c, s) for c, s in leaves.values()]
 
 
-def _evaluate_stack(spec, domain: GridDomain, stack):
-    """Values (B,) of the valuation at each row of a (B, *grid) value stack:
-    the window form on one window, the whole grid."""
-    cells = np.arange(domain.size).reshape((1,) + domain.shape)
-    return _evaluate_windows(spec, domain, stack[None], cells)[0]
-
-
-def _local(spec):
-    """Whether the spec is a sum of cell terms, which _evaluate_windows can
-    take on part of the grid: whether no term is a callable."""
-    return not any(callable(s) for _, s in _leaves(spec))
-
-
-def _evaluate_windows(spec, domain: GridDomain, stack, cells):
-    """Values (P, R) of the window form mu_W of the valuation at R rows on
-    each of P windows: stack is (P, R, *W), cells (P, *W) the windows'
-    boxes of flat grid indices. A callable takes whole rows, so its window
+def _evaluate_stack(spec, domain: GridDomain, stack, crop=None):
+    """Values (R,) of the window form mu_W of the valuation at each row of a
+    (R, *W) stack of values on the box `crop` of the grid, a tuple of slices
+    (the whole grid by default). A callable takes whole rows, so its box
     must be the whole grid.
 
-    mu_W sums the terms whose stencil lies in the window: a Hessian
-    density's cells of supp(w) one cell inside the window's edges (aux
-    taken at the same cells), a pairing's node corners in the window (a
-    corner beyond it gets weight 0), a constant's value, a composite's
-    terms. Functions that agree except on cells at least two cells inside
-    a window's edges, or on the grid's edge, have the same mu - mu_W. On
-    the whole grid mu_W is mu. Every reduction runs within a row, so a
-    row's value does not depend on the other rows in the stack.
+    mu_W sums the terms whose stencil lies in the box: a Hessian density's
+    cells of supp(w) one cell inside the box's edges (aux taken at the same
+    cells), a pairing's node corners in the box (a corner beyond it gets
+    weight 0), a constant's value, a composite's terms. On a box that holds
+    every cell mu reads (_read_mask), the whole grid among them, mu_W is mu.
+    Every reduction runs within a row, so a row's value does not depend on
+    the other rows in the stack.
     """
-    P, R, window = stack.shape[0], stack.shape[1], stack.shape[2:]
-    total = np.zeros((P, R))
+    R, window = stack.shape[0], stack.shape[1:]
+    if crop is None:
+        crop = tuple(slice(0, m) for m in domain.shape)
+    total = np.zeros(R)
     for coef, s in _leaves(spec):
         if callable(s):
-            v = np.array([float(s(ExtGridFn(domain, row)))
-                          for row in stack.reshape((-1,) + window)]).reshape(P, R)
+            v = np.array([float(s(ExtGridFn(domain, row))) for row in stack])
         elif isinstance(s, Constant):
             v = float(s.value)
         elif isinstance(s, PairingMeasure):
             idx, w = _interpolation_corners(domain, s.nodes)
-            first = np.unravel_index(cells.reshape(P, -1)[:, 0], domain.shape)
-            at = tuple(c - f[:, None, None] for c, f in
-                       zip(np.unravel_index(idx, domain.shape), first))  # (P, M, 2^n) each
+            at = tuple(a - c.start for a, c in zip(np.unravel_index(idx, domain.shape), crop))
             inside = np.all([(0 <= a) & (a < m) for a, m in zip(at, window)], axis=0)
-            flat = np.ravel_multi_index(at, window, mode="clip").reshape(P, 1, -1)
-            vals = np.take_along_axis(stack.reshape(P, R, -1), flat, axis=2)
-            vals = _interpolate_rows(vals.reshape((P, R) + idx.shape),
-                                     np.where(inside, w, 0.0)[:, None])
-            v = np.sum(vals * s.weights, axis=-1)
+            vals = stack.reshape(R, -1)[:, np.ravel_multi_index(at, window, mode="clip")]
+            v = np.sum(_interpolate_rows(vals, np.where(inside, w, 0.0)) * s.weights, axis=-1)
         elif isinstance(s, HessianDensity):
             if not domain.same_as(s.weight.domain):
                 raise ValueError("probe function domain differs from the weight domain")
-            n = domain.ndim
-            inner = cells[(slice(None),) + (slice(1, -1),) * n]
-            w = s.weight.values.ravel()[inner]
-            at = np.nonzero(w)  # probe, then the cell's inner index on each axis
-            v = np.zeros((R, P))
-            if at[0].size:
-                # the windows side by side along the first axis are one grid,
-                # on which a stencil at an inner cell stays in its window
-                grid = np.moveaxis(stack, 1, 0).reshape((R, P * window[0]) + window[1:])
-                idx = np.stack(at[1:], axis=1) + 1
-                idx[:, 0] += at[0] * window[0]
-                H = central_hessian_at(grid, domain.spacing, idx)
-                mats = [H] * s.order
-                for a in s.aux:
-                    mats.append(a if a.ndim == 2 else a.reshape(-1, n, n)[inner[at]])
-                terms = w[at] * mixed_determinant(*mats)
-                first = np.flatnonzero(np.r_[True, at[0][1:] != at[0][:-1]])
-                v[:, at[0][first]] = np.add.reduceat(terms, first, axis=1)
-            v = v.T * np.prod(domain.spacing)
+            inner = tuple(slice(c.start + 1, c.stop - 1) for c in crop)
+            w = s.weight.values[inner]
+            at = np.nonzero(w)
+            H = central_hessian_at(stack, domain.spacing, np.stack(at, axis=1) + 1)
+            mats = [H] * s.order + [a if a.ndim == 2 else a[inner][at] for a in s.aux]
+            terms = w[at] * mixed_determinant(*mats)
+            # in order: np.sum's pairwise order would move gw values by ~2e-12
+            v = np.add.reduceat(terms, [0], axis=-1)[:, 0] if at[0].size else 0.0
+            v = v * np.prod(domain.spacing)
         else:
             raise TypeError(f"not a valuation spec: {type(s).__name__}")
         total = total + coef * v
@@ -251,7 +219,7 @@ def _evaluate_windows(spec, domain: GridDomain, stack, cells):
 
 
 def _read_mask(spec, domain: GridDomain):
-    """Boolean grid of every cell _evaluate_windows(spec, domain, ...) may
+    """Boolean grid of every cell _evaluate_stack(spec, domain, ...) may
     read on the whole grid: changing a row anywhere else leaves that row's
     value unchanged."""
     mask = np.zeros(domain.shape, dtype=bool)
@@ -360,9 +328,9 @@ def embed_T(spec, K: Polytope, domain: GridDomain | None = None) -> float:
     where mu's window form is mu itself: every term's stencil lies inside
     it. A spec with a callable reads the whole grid."""
     dom = grid_domain(spec, domain)
-    crop, cells = _bounding_window(_read_mask(spec, dom))
+    crop = _bounding_window(_read_mask(spec, dom))
     h = _support_values(K, [a[s] for a, s in zip(dom.axes(), crop)])
-    return float(_evaluate_windows(spec, dom, h[None, None], cells)[0, 0])
+    return float(_evaluate_stack(spec, dom, h[None], crop)[0])
 
 
 def res_star(spec, f: ExtGridFn, U_mask: ScanMask) -> float:

@@ -1079,6 +1079,26 @@ def test_seminorm_loads_scipy_only_for_reads_outside_the_box(tmp_path, nodes, sc
     assert out.splitlines()[-1] == f"0 {scipy_loaded}"
 
 
+def test_scan_loads_no_scipy(tmp_path):
+    # a scan correlates with numpy slice sums: scipy.ndimage alone takes
+    # longer to import than a whole scan
+    d = GridDomain([-2.0, -2.0], [2.0, 2.0], [33, 33])
+    save_grid_fn(Bump([0.0, 0.0], 1.2, 1.0).sample(d), tmp_path / "w.json")
+    dump_json_atomic({"kind": "hessian", "k": 2, "weight": "w.json", "aux": []},
+                     tmp_path / "hess.json")
+    write_mu1(tmp_path / "mu1.json")
+    runs = [["scan", "--spec", str(tmp_path / "hess.json"), "--k", "2", "--probe-radius", "0.3",
+             "--out", str(tmp_path / "hess.mask")],
+            ["scan", "--spec", str(tmp_path / "mu1.json"), "--k", "1", "--probe-radius", "0.3",
+             "--grid=-2:2:33", "--out", str(tmp_path / "mu1.mask")]]
+    for argv in runs:
+        code = ("import sys\nfrom epival.cli import main\n"
+                f"rc = main({argv!r})\nprint(rc, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 False"
+
+
 def test_no_command_loads_numpy_random(tmp_path):
     # numpy.random brings secrets, hmac and OpenSSL, about 5.5 MB of RSS
     commands = _commands(tmp_path)

@@ -30,14 +30,13 @@ from epival import (
     random_convex_fn,
     seminorm_estimate,
     support_scan,
-    translate_covariance_residual,
 )
 from epival.convex import _convex_rows, _curvature, central_hessian_at
 from epival.grids import _bounding_window
-from epival.valuations import _read_mask
+from epival.valuations import _leaves, _read_mask
 
-from helpers import (grid1d, grid2d, mixed_coeff_oracle, peak_floats, point_list_convex_fn,
-                     quadratic, sample, subset_polarization)
+from helpers import (SPEC_KINDS, grid1d, grid2d, mixed_coeff_oracle, peak_floats,
+                     point_list_convex_fn, quadratic, random_spec, sample, subset_polarization)
 
 
 def mu1(x=1.0):
@@ -323,67 +322,45 @@ def test_scan_dilation_moves_argmax():
 
 
 def test_scan_does_not_depend_on_block_size(monkeypatch):
+    """Only a callable's corner rows are taken a block of probes at a time,
+    and each row reduces on its own, so no response depends on the block."""
     d = grid2d(lo=-2.0, hi=2.0, n=17)
     spec = hess2(d)
-    d1 = GridDomain([-2.0], [2.0], [65])
-    whole = [support_scan(spec, 2, 0.5, domain=d, return_responses=True)[1],
-             support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1]]
-    # blocks of a single probe, and of a few probes with a ragged last block
-    monkeypatch.setattr(epival.gw, "_SCAN_PROBES", 1)
-    for block in (1, 7 * 2 * 2 * d.size * 4):
+    cases = [(spec, 2, 0.5, d), (Composite([(1.0, spec), (0.5, lambda f: evaluate(spec, f))]),
+                                 2, 0.5, d), (mu1(), 1, 0.3, GridDomain([-2.0], [2.0], [65]))]
+    whole = [support_scan(s, k, r, domain=g, return_responses=True)[1] for s, k, r, g in cases]
+    # blocks of a single probe, and of 7 probes with a ragged last block
+    for block in (1, 7 * 2 * 2 * d.size):
         monkeypatch.setattr(epival.convex, "_BLOCK", block)
-        assert np.array_equal(
-            support_scan(spec, 2, 0.5, domain=d, return_responses=True)[1], whole[0])
-        assert np.array_equal(
-            support_scan(mu1(), 1, 0.3, domain=d1, return_responses=True)[1], whole[1])
-
-
-def _scan_blocks(monkeypatch, *args, **kwargs):
-    """support_scan's mask and responses, and the base values, probe samples,
-    steps and window cells of each block it passes to _gw_core."""
-    blocks, core = [], epival.gw._gw_core
-
-    def recording(spec, dom, base_vals, base_value, phis, mults, h, cells):
-        blocks.append((base_vals, phis, h, cells))
-        return core(spec, dom, base_vals, base_value, phis, mults, h, cells)
-
-    monkeypatch.setattr(epival.gw, "_gw_core", recording)
-    mask, resp = support_scan(*args, return_responses=True, **kwargs)
-    monkeypatch.undo()
-    return mask, resp, blocks
-
-
-def _scan_steps(monkeypatch, *args, **kwargs):
-    """support_scan's mask and responses, the step of each probe and the
-    shape of the probes' windows."""
-    mask, resp, blocks = _scan_blocks(monkeypatch, *args, **kwargs)
-    window, = {cells.shape[1:] for *_, cells in blocks}
-    return mask, resp, np.concatenate([h for _, _, h, _ in blocks]).reshape(resp.shape), window
+        for (s, k, r, g), want in zip(cases, whole):
+            assert np.array_equal(support_scan(s, k, r, domain=g, return_responses=True)[1], want)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_scan_steps_keep_every_corner_convex_on_the_whole_grid(data):
-    """Each probe's step comes from the curvature of its window samples;
-    every corner |x|^2 + j h phi (j = 1..k, at h and h/2) of every probe,
-    embedded into the whole grid, passes the convexity check. The spec
-    cannot fail the agreement check, and corner convexity does not depend
-    on it."""
+    """A scan takes one step, from the curvature of its template; every
+    corner |x|^2 + j h phi_c (j = 1..k, at h and h/2) of every probe c, phi_c
+    being Bump(c, r) sampled on the whole grid, passes the convexity check.
+    The spec cannot fail the agreement check, and corner convexity does not
+    depend on it."""
     n = data.draw(st.integers(1, 3))
     shape = [data.draw(st.integers(3, {1: 40, 2: 15, 3: 7}[n])) for _ in range(n)]
     hi = np.array([data.draw(st.floats(0.5, 3.0)) for _ in range(n)])
     dom = GridDomain(-hi, hi, shape)
     k = data.draw(st.integers(1, 3))
     radius = data.draw(st.floats(float(np.min(dom.spacing)) / 3, 3 * float(np.max(2 * hi))))
+    steps, auto_step = [], epival.gw._auto_step
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _, _, blocks = _scan_blocks(monkeypatch, Constant(0.0), k, radius, domain=dom)
-    for base_vals, phis, h, cells in blocks:
-        P = len(h)
-        phi = np.zeros((P, dom.size))
-        np.put_along_axis(phi, cells.reshape(P, -1), phis[:, 0].reshape(P, -1), axis=1)
-        steps = np.concatenate([[j * h, j * h / 2.0] for j in range(1, k + 1)]).T
-        rows = base_vals.ravel() + steps[:, :, None] * phi[:, None]
-        assert np.all(h > 0) and np.all(_convex_rows(rows.reshape((-1,) + dom.shape)))
+        monkeypatch.setattr(epival.gw, "_auto_step",
+                            lambda k, curvature: steps.append(auto_step(k, curvature)) or steps[-1])
+        support_scan(Constant(0.0), k, radius, domain=dom)
+    h, = steps
+    base = np.sum(dom.points()**2, axis=1).reshape(dom.shape)
+    js = np.array([j * s for j in range(1, k + 1) for s in (h, h / 2.0)])
+    for c in dom.points():
+        phi = Bump(c, radius, 1.0).sample(dom).values
+        assert np.all(_convex_rows(base + js.reshape((-1,) + (1,) * n) * phi))
 
 
 def _window_specs(kind):
@@ -411,33 +388,58 @@ def _window_specs(kind):
     }[kind]
 
 
+def _assert_scan_is_gw_report(spec, d, k, radius, cells):
+    """At about `cells` cells the scan's response is the value gw_report
+    takes of the probe's k-fold bump on the whole grid, within 1e-10 of the
+    peak response."""
+    _, resp = support_scan(spec, k, radius, domain=d, return_responses=True)
+    peak = np.max(np.abs(resp))
+    every = max(1, d.size // cells)
+    for c, r in zip(d.points()[::every], resp.ravel()[::every]):
+        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k), domain=d)
+        assert abs(r - report["value"]) <= 1e-10 * peak
+    return peak
+
+
 @pytest.mark.parametrize("kind", ["pairing-1d", "pairing-2d", "hessian-k1-cell-aux",
                                   "hessian-k2", "hessian-k3-3d", "composite",
                                   "composite-callable"])
-def test_scan_windows_match_the_whole_grid(monkeypatch, kind):
-    spec, d, k, radius = _window_specs(kind)
-    mask, resp, steps, window = _scan_steps(monkeypatch, spec, k, radius, domain=d)
-    assert (window == d.shape) == (kind == "composite-callable")
-    # every probe on the whole grid, as gw_report evaluates one
-    monkeypatch.setattr(epival.gw, "_local", lambda spec: False)
-    whole_mask, whole = support_scan(spec, k, radius, domain=d, return_responses=True)
-    peak = np.max(np.abs(whole))
-    assert peak > 0 and np.array_equal(mask.marked, whole_mask.marked)
-    assert np.max(np.abs(resp - whole)) <= 1e-10 * peak
-    every = d.size // 40  # about 40 cells
-    for c, r, h in zip(d.points()[::every], resp.ravel()[::every], steps.ravel()[::every]):
-        # gw_report reaches the scan's step on its own
-        report = gw_report(spec, GWQuery(k, [Bump(c, radius, 1.0)] * k), domain=d)
-        assert abs(r - report["value"]) <= 1e-10 * peak
-        assert report["step"] == h
+def test_scan_windows_match_the_whole_grid(kind):
+    # every probe the scan correlates is the whole-grid Goodey-Weil value
+    assert _assert_scan_is_gw_report(*_window_specs(kind), cells=40) > 0
+
+
+def _degree(spec):
+    """The largest degree of the spec's terms: 0 for a constant, 1 for a
+    pairing, the order of a Hessian density."""
+    return max((1 if isinstance(s, PairingMeasure) else getattr(s, "order", 0))
+               for _, s in _leaves(spec))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS + ("composite-callable",)),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_responses_are_gw_report_values(ndim, kind, seed):
+    """For every kind of spec, at k its degree (1 for a constant), on 1D-3D
+    grids: the scan's responses are gw_report's values of the probes."""
+    rng = np.random.default_rng(seed)
+    d = _cube(ndim)
+    if kind == "composite-callable":
+        inner = random_spec("hessian", d, rng)
+        spec = Composite([(1.0, inner), (0.5, lambda f: evaluate(inner, f))])
+        k = inner.order
+    else:
+        spec = random_spec(kind, d, rng)
+        k = max(_degree(spec), 1)
+    _assert_scan_is_gw_report(spec, d, k, 0.5, cells=12)
 
 
 def test_scan_allocates_at_most_two_and_a_half_blocks():
-    """A 65^2 k=2 scan at radius 0.3 fits many probes in a block. A 17^3 k=3
-    scan takes the floor of gw._SCAN_PROBES = 24 probes, about 19.7k floats
-    each by support_scan's estimate, more than one convex._BLOCK of 2^17: its
-    bound is 400k floats, under 2.5 blocks of 2^19 (measured 346k; 376k
-    with 2^19-float blocks)."""
+    """A 65^2 k=2 and a 17^3 k=3 Hessian scan at radius 0.3 hold their
+    template's corners, kernels and one correlation per kernel row: measured
+    87k and 147k floats (205k and 341k when each probe was evaluated on its
+    window, in blocks of at least 24 probes); the bounds are 2.5 blocks of
+    2^17 and 400k floats."""
     d2 = GridDomain([-2.0] * 2, [2.0] * 2, [65, 65])
     d3 = GridDomain([-2.0] * 3, [2.0] * 3, [17] * 3)
     for spec, k, bound in ((hess2(d2, radius=1.2), 2, 2.5 * epival.convex._BLOCK),
@@ -448,9 +450,10 @@ def test_scan_allocates_at_most_two_and_a_half_blocks():
 
 def test_benchmark_sized_scans_allocate_at_most_200k_floats():
     """The probe workload's scans, a 33^2 Hessian k=2 and a 33^2 pairing k=1
-    scan at radius 0.3, each start a fresh process, where every float of a
-    block is a page faulted in: measured about 121k and 92k floats (457k and
-    318k with 4 MB blocks, 1.46M and 1.0M with 16 MB blocks)."""
+    scan at radius 0.3, each start a fresh process, where every float
+    allocated is a page faulted in: measured about 28k and 15k floats (121k
+    and 92k with per-probe windows in 1 MB blocks, 457k and 318k in 4 MB
+    blocks)."""
     d = grid2d(n=33)
     pairing = PairingMeasure([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]],
                              [1.0, -1.0, -1.0, 1.0])
@@ -577,7 +580,7 @@ def test_default_step_comes_from_the_samples_and_keeps_every_corner_convex(data)
     phis = np.stack([t.sample(dom).values if isinstance(t, Bump) else t.values
                      for t in tests])
     h = report["step"]
-    assert h == min(0.1, 1.0 / (k * max(np.max(_curvature(phis, dom.spacing)), 1e-12)))
+    assert h == min(0.1, 1.0 / (k * max(max(_curvature(p, dom.spacing) for p in phis), 1e-12)))
     sums = np.stack([phis[list(S)].sum(axis=0) for r in range(1, k + 1)
                      for S in combinations(range(k), r)])
     base = np.sum(dom.points()**2, axis=1).reshape(dom.shape)
@@ -598,15 +601,57 @@ def test_convex_split_of_random_bumps_has_convex_halves(data):
 
 # ----------------------------------------------------- translate covariance
 
-def test_translate_covariance():
-    d = GridDomain([-3.0], [3.0], [121])
-    assert translate_covariance_residual(mu1(), [0.0], 0.3, domain=d) == 0.0
-    res = translate_covariance_residual(mu1(), [0.5], 0.3, domain=d)
-    assert res <= 1.0
-    with pytest.raises(DomainExceeded):
-        translate_covariance_residual(mu1(), [3.0], 0.3, domain=d)
-    with pytest.raises(ValueError, match="grid domain is required"):
-        translate_covariance_residual(mu1(), [0.5], 0.3)
+def _shift(a, v):
+    """a moved by the whole cells v along its first len(v) axes, 0 where
+    nothing moves in."""
+    out = np.zeros_like(a)
+    out[tuple(slice(max(0, s), m - max(0, -s)) for s, m in zip(v, a.shape))] = \
+        a[tuple(slice(max(0, -s), m - max(0, s)) for s, m in zip(v, a.shape))]
+    return out
+
+
+def _moved(spec, v, d):
+    """The spec and its copy moved by the whole cells v: a pairing's nodes
+    move, a Hessian density's weight and per-cell aux move, the weight first
+    cut to the cells that stay off the 2-cell margin both ways."""
+    if isinstance(spec, Composite):
+        pairs = [(c, _moved(s, v, d)) for c, s in spec.terms]
+        return tuple(Composite([(c, p[i]) for c, p in pairs]) for i in (0, 1))
+    if isinstance(spec, PairingMeasure):
+        return spec, PairingMeasure(spec.nodes + v * d.spacing, spec.weights, check=False)
+    if isinstance(spec, HessianDensity):
+        inner = np.zeros(d.shape, dtype=bool)
+        inner[(slice(2, -2),) * d.ndim] = True
+        w = np.where(inner & _shift(inner, -v), spec.weight.values, 0.0)
+        aux = [a if a.ndim == 2 else _shift(a, v) for a in spec.aux]
+        return (HessianDensity(spec.order, ExtGridFn(d, w), spec.aux),
+                HessianDensity(spec.order, ExtGridFn(d, _shift(w, v)), aux))
+    return spec, spec
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ndim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(SPEC_KINDS),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_translate_covariance(ndim, kind, seed, data):
+    """Moving a spec by whole cells moves its scan's responses by the same
+    cells, at every cell whose origin is on the grid: every probe is the one
+    template, translated."""
+    rng = np.random.default_rng(seed)
+    d = _cube(ndim)
+    spec = random_spec(kind, d, rng)
+    nodes = [s.nodes for _, s in _leaves(spec) if isinstance(s, PairingMeasure)]
+    lo, hi = np.full(ndim, -3), np.full(ndim, 3)
+    for x in nodes:  # the shifts that keep every node on the grid
+        lo = np.maximum(lo, np.ceil((d.lo - x.min(axis=0)) / d.spacing - 1e-9).astype(int))
+        hi = np.minimum(hi, np.floor((d.hi - x.max(axis=0)) / d.spacing + 1e-9).astype(int))
+    v = np.array([data.draw(st.integers(int(a), int(b))) for a, b in zip(lo, hi)])
+    spec, moved = _moved(spec, v, d)
+    k = max(_degree(spec), 1)
+    resp, shifted = (support_scan(s, k, 0.5, domain=d, return_responses=True)[1]
+                     for s in (spec, moved))
+    peak = max(np.max(np.abs(resp)), np.max(np.abs(shifted)))
+    assert np.all(np.abs(shifted - _shift(resp, v))[_shift(np.ones(d.shape), v) > 0]
+                  <= 1e-10 * peak)
 
 
 # ----------------------------------------------------------------- seminorm
@@ -666,8 +711,8 @@ def test_seminorm_memory_does_not_grow_with_samples():
     whole stack of 81^2 extensions took 3.0 and 14.8 MB; blocks take 0.6)."""
     d = GridDomain([-2.0] * 2, [2.0] * 2, [81, 81])
     spec = _pairing_in_the_box()
-    _, cells = _bounding_window(_read_mask(spec, d))
-    assert epival.gw._SAMPLES // cells.size < 32      # 32 samples take two blocks
+    box = np.ones(d.shape)[_bounding_window(_read_mask(spec, d))]
+    assert epival.gw._SAMPLES // box.size < 32      # 32 samples take two blocks
     peak = {n: peak_floats(lambda: seminorm_estimate(spec, [-1.2] * 2, [1.2] * 2, 0.2, n,
                                                      seed=3, domain=d))
             for n in (32, 256)}
@@ -686,8 +731,8 @@ def test_seminorm_is_monotone_across_sample_blocks(monkeypatch):
                 for n in range(1, 11)]
 
     whole = estimates()
-    _, cells = _bounding_window(_read_mask(spec, d))
-    monkeypatch.setattr(epival.gw, "_SAMPLES", 3 * cells.size)
+    box = np.ones(d.shape)[_bounding_window(_read_mask(spec, d))]
+    monkeypatch.setattr(epival.gw, "_SAMPLES", 3 * box.size)
     assert estimates() == whole
     assert whole == sorted(whole) and whole[6] > whole[5]
 

@@ -28,8 +28,8 @@ from epival import (
     valuation_residual,
 )
 
-from epival.grids import _bounding_window, _dilate, _window_cells
-from epival.valuations import _evaluate_stack, _evaluate_windows, _leaves, _read_mask, grid_domain
+from epival.grids import _bounding_window, _dilate
+from epival.valuations import _evaluate_stack, _leaves, _read_mask, grid_domain
 
 from helpers import (SPEC_KINDS, grid1d, grid2d, grid3d, inclusion_exclusion_mixed_determinant,
                      mixed_coeff_oracle, peak_floats, permutation_mixed_determinant, quadratic,
@@ -159,11 +159,10 @@ def test_window_form_on_the_box_of_the_read_cells_is_the_valuation(ndim, kind, s
     if with_callable:
         spec = Composite([(1.0, spec), (0.5, lambda f: float(np.sum(f.values**2)))])
     reads = _read_mask(spec, d)
-    crop, cells = _bounding_window(reads)
+    crop = _bounding_window(reads)
     stack = np.where(reads, rng.normal(size=(3,) + d.shape), np.inf)
     want = _evaluate_stack(spec, d, stack)
-    assert np.array_equal(_evaluate_windows(spec, d, stack[(slice(None),) + crop][None],
-                                            cells)[0], want)
+    assert np.array_equal(_evaluate_stack(spec, d, stack[(slice(None),) + crop], crop), want)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -179,20 +178,21 @@ def test_window_form_leaves_out_only_terms_beyond_the_window(ndim, kind, seed):
     shape = np.array(d.shape)
     window = tuple(int(w) for w in rng.integers(3, shape + 1))
     start = rng.integers(0, shape - window + 1)
-    cells = _window_cells(d.shape, window, start[None])
+    crop = tuple(slice(int(s), int(s) + w) for s, w in zip(start, window))
+    cells = np.arange(d.size).reshape(d.shape)[crop]
     free = np.ones(window, dtype=bool)
     for a, (w, s, n) in enumerate(zip(window, start, d.shape)):
         pos = np.arange(w)
         ok = ((pos >= 2) | (s == 0)) & ((pos < w - 2) | (s + w == n))
         free &= ok.reshape((w,) + (1,) * (ndim - 1 - a))
-    reads = _read_mask(spec, d).ravel()[cells[0]]
+    reads = _read_mask(spec, d).ravel()[cells]
     f = rng.normal(size=d.size)
-    f[cells[0][~reads]] = np.inf
+    f[cells[~reads]] = np.inf
     g = np.array(f)
-    g[cells[0][free & reads]] += 10.0 * rng.normal(size=np.count_nonzero(free & reads))
+    g[cells[free & reads]] += 10.0 * rng.normal(size=np.count_nonzero(free & reads))
     rows = np.stack([f, g])
     mu = _evaluate_stack(spec, d, rows.reshape((2,) + d.shape))
-    mu_w = _evaluate_windows(spec, d, rows[:, cells[0]][None], cells)[0]
+    mu_w = _evaluate_stack(spec, d, rows[:, cells], crop)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(mu_w))
     scale = 1.0 + float(np.max(np.abs(np.r_[mu, mu_w])))
     assert abs((mu[0] - mu_w[0]) - (mu[1] - mu_w[1])) <= 1e-12 * scale
@@ -698,7 +698,7 @@ def test_res_star_on_a_box_around_the_read_cells_is_the_valuation(ndim, kind, se
     want = evaluate(spec, f)
     reads = _read_mask(spec, d)
     box = np.zeros(d.shape, dtype=bool)
-    box[_bounding_window(_dilate(reads))[0]] = True
+    box[_bounding_window(_dilate(reads))] = True
     assert res_star(spec, f, ScanMask(d, box)) == want
     first = np.nonzero(reads)[0]
     cut = np.array(box)
