@@ -54,7 +54,12 @@ def _vector(text):
 
 def _grid(text) -> GridDomain:
     lo, hi, shape = text.split(":")
-    return GridDomain(_vector(lo), _vector(hi), [int(v) for v in shape.split(",")])
+    domain = GridDomain(_vector(lo), _vector(hi), [int(v) for v in shape.split(",")])
+    if domain.size > gw._MAX_CORNER_VALUES:  # before any command allocates it
+        # too large for memory (exit 3), not a bad value (a ValueError, exit 2)
+        raise MemoryError(f"a grid of {domain.size} cells exceeds the work budget of "
+                          f"{gw._MAX_CORNER_VALUES} cells")
+    return domain
 
 
 def _bump(text) -> Bump:
@@ -156,77 +161,81 @@ def cmd_embed(args, spec):
     return {"value": valuations.embed_T(spec, K, _parsed("--grid", _grid, args.grid))}
 
 
-def build_parser():
+# Options the subcommands share. --out is the data file a command writes,
+# echoed in the config; where it writes none, an optional copy of the report,
+# kept out of the config so reruns that write to different files print and
+# write the same bytes.
+_SPEC = ("--spec", {"required": True})
+_DATA_OUT = ("--out", {"required": True})
+_REPORT_OUT = ("--out", {"dest": "report_out"})
+
+# name: handler, summary, and its options as (flag, add_argument keywords)
+_COMMANDS = {
+    "transform": (cmd_transform, "legendre / reg / reconstruct", [
+        _DATA_OUT,
+        ("--op", {"required": True, "choices": ["legendre", "reg", "reconstruct"]}),
+        ("--in", {"dest": "infile", "required": True}),
+        ("--r", {"type": finite}),
+        ("--R", {"type": finite}),
+        ("--grid", {"help": "dual grid for --op legendre, lo:hi:shape"})]),
+    "decompose": (cmd_decompose, "homogeneous components as CSV", [
+        _SPEC, _DATA_OUT, ("--in", {"dest": "infile", "required": True})]),
+    "polarize": (cmd_polarize, "multilinear polarization value", [
+        _SPEC, _REPORT_OUT,
+        ("--k", {"type": int, "required": True}),
+        ("--inputs", {"nargs": "+", "required": True})]),
+    "gw": (cmd_gw, "Goodey-Weil pairing / diagonality residual", [
+        _SPEC, _REPORT_OUT,
+        ("--k", {"type": int, "required": True}),
+        ("--bump", {"action": "append", "default": [],
+                    "help": "center:radius:amplitude, e.g. 0.5,0:0.4:1"}),
+        ("--test", {"action": "append", "default": [],
+                    "help": "grid-function file used as a test function"}),
+        ("--grid", {"help": "lo:hi:shape, comma-separated"}),
+        ("--diagonality", {"action": "store_true"})]),
+    "scan": (cmd_scan, "support scan mask", [
+        _SPEC, _DATA_OUT,
+        ("--k", {"type": int, "required": True}),
+        ("--probe-radius", {"dest": "probe_radius", "type": finite, "required": True}),
+        ("--tol", {"type": finite, "default": 1e-6}),
+        ("--grid", {})]),
+    "seminorm": (cmd_seminorm, "seminorm lower-bound estimate", [
+        _SPEC, _REPORT_OUT,
+        ("--A-lo", {"dest": "A_lo", "required": True}),
+        ("--A-hi", {"dest": "A_hi", "required": True}),
+        ("--s", {"type": finite, "required": True}),
+        ("--samples", {"type": int, "default": 32}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--grid", {})]),
+    "embed": (cmd_embed, "body valuation T(mu)[K]", [
+        _SPEC, ("--polytope", {"required": True}), ("--grid", {})]),
+}
+
+
+def build_parser(command=None):
+    """The CLI's parser. Given the name of a subcommand, it holds only that
+    subcommand's parser, whose usage and errors are the same; otherwise all
+    of them, for the top-level help and errors."""
     p = argparse.ArgumentParser(
         prog="epival", description="Valuations on grid-sampled convex functions")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, spec=True, out=None):
-        """A subcommand. out="data": --out is the data file it writes, echoed
-        in the config. out="report": --out optionally receives a copy of the
-        report and stays out of its config, so reruns that write to different
-        files print and write the same bytes."""
+    one = command in _COMMANDS
+    # argparse names the subcommands it holds in the usage line of an error;
+    # with one, it is told them all. Not otherwise: a metavar also renames
+    # the `command` argument in the errors about it.
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in [command] if one else _COMMANDS:
+        func, summary, options = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(func=func)
-        if spec:
-            sp.add_argument("--spec", required=True)
-        if out == "data":
-            sp.add_argument("--out", required=True)
-        elif out == "report":
-            sp.add_argument("--out", dest="report_out", default=None)
-        return sp
-
-    t = command("transform", cmd_transform, "legendre / reg / reconstruct",
-                spec=False, out="data")
-    t.add_argument("--op", required=True, choices=["legendre", "reg", "reconstruct"])
-    t.add_argument("--in", dest="infile", required=True)
-    t.add_argument("--r", type=finite, default=None)
-    t.add_argument("--R", type=finite, default=None)
-    t.add_argument("--grid", help="dual grid for --op legendre, lo:hi:shape")
-
-    d = command("decompose", cmd_decompose, "homogeneous components as CSV",
-                out="data")
-    d.add_argument("--in", dest="infile", required=True)
-
-    pol = command("polarize", cmd_polarize, "multilinear polarization value",
-                  out="report")
-    pol.add_argument("--k", type=int, required=True)
-    pol.add_argument("--inputs", nargs="+", required=True)
-
-    g = command("gw", cmd_gw, "Goodey-Weil pairing / diagonality residual",
-                out="report")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--bump", action="append", default=[],
-                   help="center:radius:amplitude, e.g. 0.5,0:0.4:1")
-    g.add_argument("--test", action="append", default=[],
-                   help="grid-function file used as a test function")
-    g.add_argument("--grid", default=None, help="lo:hi:shape, comma-separated")
-    g.add_argument("--diagonality", action="store_true")
-
-    s = command("scan", cmd_scan, "support scan mask", out="data")
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--probe-radius", dest="probe_radius", type=finite,
-                   required=True)
-    s.add_argument("--tol", type=finite, default=1e-6)
-    s.add_argument("--grid", default=None)
-
-    sn = command("seminorm", cmd_seminorm, "seminorm lower-bound estimate",
-                 out="report")
-    sn.add_argument("--A-lo", dest="A_lo", required=True)
-    sn.add_argument("--A-hi", dest="A_hi", required=True)
-    sn.add_argument("--s", type=finite, required=True)
-    sn.add_argument("--samples", type=int, default=32)
-    sn.add_argument("--seed", type=int, default=0)
-    sn.add_argument("--grid", default=None)
-
-    e = command("embed", cmd_embed, "body valuation T(mu)[K]")
-    e.add_argument("--polytope", required=True)
-    e.add_argument("--grid", default=None)
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     report_out = vars(args).pop("report_out", None)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:

@@ -5,7 +5,6 @@ All types are immutable after construction: arrays are stored with the
 writeable flag cleared, so sharing them across threads is safe.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -19,6 +18,18 @@ def _frozen(arr, dtype=float):
     return out
 
 
+class _Immutable:
+    """Base of epival's value types. Each sets its attributes once, in
+    __init__, through object.__setattr__; assigning or deleting one later
+    raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
 def _product_points(axes):
     """The points of the product grid of `axes` as an (N, ndim) array,
     row-major (last axis fastest)."""
@@ -26,13 +37,8 @@ def _product_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class GridDomain:
+class GridDomain(_Immutable):
     """Axis-aligned box with a uniform tensor grid, dimensions 1 to 3."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    shape: tuple
 
     def __init__(self, lo, hi, shape):
         lo = _frozen(np.atleast_1d(lo))
@@ -100,12 +106,8 @@ class GridDomain:
                 and np.array_equal(self.hi, other.hi))
 
 
-@dataclass(frozen=True, eq=False)
-class ExtGridFn:
+class ExtGridFn(_Immutable):
     """Extended-real values sampled on a GridDomain (+inf allowed, -inf never)."""
-
-    domain: GridDomain
-    values: np.ndarray
 
     def __init__(self, domain, values):
         """`values` are copied, so the caller's array may change later."""
@@ -247,11 +249,8 @@ def interpolate(f: ExtGridFn, pts):
     return _interpolate_rows(f.values.ravel()[idx], w)
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Immutable):
     """Finite vertex list in dual space V* x R; duplicates allowed."""
-
-    vertices: np.ndarray
 
     def __init__(self, vertices):
         vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -291,13 +290,8 @@ def _bump_values(pts, centers, radius, amplitude=1.0):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Bump:
+class Bump(_Immutable):
     """Smooth compactly supported bump: amp * exp(1 - 1/(1 - |x-c|^2/r^2))."""
-
-    center: np.ndarray
-    radius: float
-    amplitude: float = 1.0
 
     def __init__(self, center, radius, amplitude=1.0):
         center = _frozen(np.atleast_1d(center))
@@ -325,12 +319,8 @@ class Bump:
         return ExtGridFn._of(domain, self.value(domain.points()))
 
 
-@dataclass(frozen=True, eq=False)
-class ScanMask:
+class ScanMask(_Immutable):
     """Boolean grid marking cells, e.g. the estimated support of a valuation."""
-
-    domain: GridDomain
-    marked: np.ndarray
 
     def __init__(self, domain, marked):
         marked = np.asarray(marked, dtype=bool)

@@ -19,7 +19,6 @@ of the valuation with kernels read off the template's corners.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, prod
 
@@ -29,7 +28,7 @@ from .convex import (_by_rows, _curvature, _require_finite, _test_function,
                      central_hessian_at, extend_from_subdomain, is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
 from .grids import (ExtGridFn, GridDomain, ScanMask, _bounding_window, _bump_values, _dilate,
-                    _interpolation_corners, _product_points)
+                    _Immutable, _interpolation_corners, _product_points)
 from .sampling import random_convex_fn
 from .valuations import (Constant, HessianDensity, PairingMeasure, _evaluate_stack, _leaves,
                          _read_mask, evaluate, grid_domain, mixed_determinant)
@@ -73,8 +72,7 @@ def _check_work(rows, cells, probes=1):
                          f"the work budget of {_MAX_CORNER_VALUES} values")
 
 
-@dataclass(frozen=True, eq=False)
-class GWQuery:
+class GWQuery(_Immutable):
     """Order (1 to _MAX_ORDER) and test functions (Bump or grid) of a
     Goodey-Weil pairing.
 
@@ -82,9 +80,6 @@ class GWQuery:
     min(0.1, 1/(k * max curvature of the tests' samples)), at which every
     corner is convex (see convex._curvature).
     """
-
-    order: int
-    tests: tuple
 
     def __init__(self, order, tests):
         order = int(order)
@@ -312,6 +307,7 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_order(k)
+    _require_finite(probe_radius=probe_radius, tol=tol)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if k == 0:

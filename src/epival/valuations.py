@@ -7,7 +7,6 @@ homogeneous decomposition through a Vandermonde system, mixed determinants,
 the embedding into body valuations, and restriction to open sub-domains.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
 
@@ -16,17 +15,13 @@ import numpy as np
 from .convex import _support_values, central_hessian_at, is_discretely_convex, restrict
 from .errors import ConvexityViolation
 from .grids import (ExtGridFn, GridDomain, Polytope, ScanMask, _bounding_window, _dilate,
-                    _interpolate_rows, _interpolation_corners, _margin_mask)
+                    _Immutable, _interpolate_rows, _interpolation_corners, _margin_mask)
 
 WEIGHT_CONDITION_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class PairingMeasure:
+class PairingMeasure(_Immutable):
     """mu(f) = sum_i w_i f(node_i); weights must kill constants and linears."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
 
     def __init__(self, nodes, weights, check=True):
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -48,18 +43,13 @@ class PairingMeasure:
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True, eq=False)
-class HessianDensity:
+class HessianDensity(_Immutable):
     """mu(f) = integral of weight * D(H_f [order], aux...) by midpoint quadrature.
 
     The weight must vanish on a margin of at least two cells so every
     central-difference stencil stays interior. Auxiliary matrices are
     constant symmetric matrices or per-cell fields of shape weight grid + (n, n).
     """
-
-    order: int
-    weight: ExtGridFn
-    aux: tuple
 
     def __init__(self, order, weight, aux=()):
         n = weight.domain.ndim
@@ -85,16 +75,15 @@ class HessianDensity:
         object.__setattr__(self, "aux", aux)
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: float
+class Constant(_Immutable):
+    """mu(f) = value for every f."""
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False)
-class Composite:
+class Composite(_Immutable):
     """Linear combination sum_i coef_i * spec_i."""
-
-    terms: tuple
 
     def __init__(self, terms):
         terms = tuple((float(c), s) for c, s in terms)
@@ -271,13 +260,13 @@ def depi_invariance_residual(spec, f: ExtGridFn, lam, c: float) -> float:
     return float(abs(a - b))
 
 
-@dataclass(frozen=True, eq=False)
-class HomogeneousComponents:
+class HomogeneousComponents(_Immutable):
     """Per-degree values mu_i(f) for degrees 0..n plus the degree-(n+1) residual."""
 
-    components: np.ndarray
-    top_residual: float
-    probe_values: np.ndarray
+    def __init__(self, components, top_residual, probe_values):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "top_residual", top_residual)
+        object.__setattr__(self, "probe_values", probe_values)
 
     @property
     def scale(self):

@@ -908,9 +908,25 @@ def test_a_grid_too_large_for_memory_exits_3(tmp_path, command, grid):
     _assert_capped_run_fails(tmp_path, argv, 3)
 
 
+@pytest.mark.parametrize("command", ["transform", "seminorm"])
+def test_a_grid_over_the_cell_budget_is_refused_before_the_command_runs(tmp_path, command):
+    """A 20000^2 grid, 4e8 cells, is over the budget of 2^27: refused with
+    one error line naming the budget, before any warning or allocation."""
+    write_grid(tmp_path / "f2.json", GridDomain([-2.0, -2.0], [2.0, 2.0], [9, 9]),
+               lambda p: np.sum(p * p, axis=1))
+    dump_json_atomic({"kind": "pairing", "nodes": [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+                      "weights": [1.0, 1.0, -2.0]}, tmp_path / "mu2.json")
+    grid, out = "--grid=-5,-5:5,5:20000,20000", ["--out", str(tmp_path / "out.data")]
+    argv = {"transform": ["transform", "--op", "legendre", "--in", str(tmp_path / "f2.json")],
+            "seminorm": ["seminorm", "--spec", str(tmp_path / "mu2.json"), "--A-lo=-1,-1",
+                         "--A-hi", "1,1", "--s", "0.2"]}[command]
+    stderr = _assert_capped_run_fails(tmp_path, argv + out + [grid], 3)
+    assert f"the work budget of {epival.gw._MAX_CORNER_VALUES} cells" in stderr
+
+
 def _assert_capped_run_fails(tmp_path, argv, code):
     """The CLI, capped at 1.5 GB, exits `code` with one error line and
-    writes no output."""
+    writes no output; the error line is returned."""
     run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=child_env(),
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == code
@@ -918,6 +934,7 @@ def _assert_capped_run_fails(tmp_path, argv, code):
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out.data").exists()
+    return run.stderr
 
 
 @pytest.mark.parametrize("diagonality", [[], ["--diagonality"]])
@@ -1099,17 +1116,62 @@ def test_scan_loads_no_scipy(tmp_path):
         assert out.splitlines()[-1] == "0 False"
 
 
-def test_no_command_loads_numpy_random(tmp_path):
-    # numpy.random brings secrets, hmac and OpenSSL, about 5.5 MB of RSS
-    commands = _commands(tmp_path)
-    code = ("import sys\nfrom epival.cli import main\nloaded = {}\n"
-            f"for name, argv in {commands!r}.items():\n"
+def _commands_loading(tmp_path, module):
+    """The commands after which `module` is loaded, all run in order in one
+    child."""
+    code = ("import sys\nfrom epival.cli import main\nloaded = []\n"
+            f"for name, argv in {_commands(tmp_path)!r}.items():\n"
             "    assert main(argv) == 0, name\n"
-            "    loaded[name] = 'numpy.random' in sys.modules\n"
+            f"    if {module!r} in sys.modules:\n"
+            "        loaded.append(name)\n"
             "print(loaded)")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                          text=True, check=True).stdout
-    assert ast.literal_eval(out.splitlines()[-1]) == dict.fromkeys(commands, False)
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random brings secrets, hmac and OpenSSL, about 5.5 MB of RSS
+    assert _commands_loading(tmp_path, "numpy.random") == []
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # it exec-compiles the methods of every class it decorates at import
+    assert _commands_loading(tmp_path, "dataclasses") == []
+
+
+def test_import_of_the_cli_leaves_at_most_half_a_megabyte_traced():
+    """What `import epival.cli` adds to a process that already holds numpy,
+    argparse and json: epival's modules, their value types and functions."""
+    code = ("import argparse, json, tracemalloc\nimport numpy\ntracemalloc.start()\n"
+            "import epival.cli\nprint(tracemalloc.get_traced_memory()[0])")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= 0.5 * 2**20
+
+
+def _run(argv, capsys):
+    """main's exit code, stdout and stderr, whether it returns or argparse exits."""
+    code = _exit_code(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_subcommand_parser_prints_what_all_seven_print(tmp_path, capsys, monkeypatch):
+    """A command names its subcommand first, and only that subcommand's
+    parser is built; the CLI prints the same bytes and exits with the same
+    code as with all seven built, on runs, help and parse errors."""
+    commands = _commands(tmp_path)
+    corpus = [["-h"], [], ["frobnicate"], ["frobnicate", "--k", "1"]]
+    for name, argv in commands.items():
+        corpus += [argv, [name, "-h"], argv + ["--frobnicate"], [name],
+                   [name, "--spec", str(tmp_path / "mu1.json")], argv + ["extra"]]
+    one = [_run(argv, capsys) for argv in corpus]
+    every = epival.cli.build_parser
+    monkeypatch.setattr(epival.cli, "build_parser", lambda command=None: every())
+    assert [_run(argv, capsys) for argv in corpus] == one
+    codes = [code for code, _, _ in one]
+    assert codes.count(0) == len(commands) + 8 and set(codes) == {0, 2}
 
 
 @pytest.mark.parametrize("marked", [[0.5, 1, 1, 1, 0], [0, 1, True, 1, 0],

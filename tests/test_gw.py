@@ -296,6 +296,21 @@ def test_scan_constant_is_empty():
         support_scan(Constant(4.0), -1, 0.3, domain=d)
 
 
+@pytest.mark.parametrize("probe_radius, tol, name", [
+    (np.inf, 1e-6, "probe_radius"), (np.nan, 1e-6, "probe_radius"),
+    (0.5, np.nan, "tol"), (0.5, np.inf, "tol"),
+])
+def test_scan_refuses_a_non_finite_radius_or_tol(probe_radius, tol, name):
+    """An infinite radius or tolerance, or a NaN one, would mark no cell or
+    fail inside numpy; each is refused by name. At radius 0.5 and tol 1e-6
+    the scan marks cells."""
+    spec = PairingMeasure([[1.0], [-1.0], [0.0]], [1.0, 1.0, -2.0])
+    d = grid1d(n=33)
+    assert support_scan(spec, 1, 0.5, domain=d).count > 0
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        support_scan(spec, 1, probe_radius, tol, domain=d)
+
+
 def test_scan_hessian_support_tracks_weight():
     d = grid2d(lo=-2.0, hi=2.0, n=25)
     w = Bump(d.center, 1.0, 1.0).sample(d)

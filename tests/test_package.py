@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import epival
+from epival import (Bump, Composite, Constant, ExtGridFn, GWQuery, GridDomain, HessianDensity,
+                    PairingMeasure, Polytope, ScanMask, homogeneous_decompose)
 
 from helpers import child_env
 
@@ -77,3 +80,23 @@ def test_no_module_imports_a_name_it_does_not_use():
                    for bound in ((a.asname or a.name).split(".")[0] for a in node.names)
                    if bound not in read]
     assert unused == []
+
+
+def test_value_types_refuse_assignment_and_deletion():
+    d = GridDomain([-2.0], [2.0], [9])
+    f = ExtGridFn(d, d.points()[:, 0] ** 2)
+    pairing = PairingMeasure([[1.0], [-1.0], [0.0]], [1.0, 1.0, -2.0])
+    values = [d, f, Polytope([[1.0, 0.0]]), Bump([0.0], 0.5), ScanMask(d, np.zeros(9)),
+              pairing, HessianDensity(1, ExtGridFn(d, [0, 0, 0, 1, 1, 1, 0, 0, 0])),
+              Constant(1.0), Composite([(1.0, pairing)]), homogeneous_decompose(pairing, f),
+              GWQuery(1, [Bump([0.0], 0.5)])]
+    assert len({type(v) for v in values}) == 11
+    for value in values:
+        before = dict(vars(value))
+        for name in [*before, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert before and vars(value).keys() == before.keys()
+        assert all(vars(value)[name] is held for name, held in before.items())
