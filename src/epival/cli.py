@@ -12,19 +12,46 @@ math-domain violation, or a computation too large for memory.
 import gc
 import os
 import sys
+from importlib import import_module
 
 # Before numpy loads: starting OpenBLAS's thread pool costs each command
 # about 120 ms of CPU time, and no command's BLAS calls are large enough to
 # use it. A value already in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# epival's modules before argparse and numpy: where they are compiled from
-# source (no bytecode cache), the largest, convex, is then compiled before
-# numpy loads and none is compiled on top of argparse, which keeps a
-# command's peak RSS up to 0.8 MB lower
-from . import convex, gw, serialize, valuations
+# The engine modules each subcommand runs, imported in this order. Where a
+# process has no bytecode cache, it compiles each module it imports (gw: 5
+# ms and a 1.6 MB traced peak; serialize and valuations: 3 ms and 1 MB
+# each), so a command imports only its own. convex, the largest, comes
+# first and is compiled before numpy loads, and none is compiled on top of
+# argparse. The spec commands keep the order in which their peak RSS was
+# lowest.
+_SPEC_MODULES = ("convex", "gw", "serialize", "valuations")
+_MODULES = {
+    "transform": ("convex", "serialize"),
+    "decompose": ("convex", "serialize", "valuations"),
+    "embed": ("convex", "serialize", "valuations"),
+    "polarize": _SPEC_MODULES,
+    "gw": _SPEC_MODULES,
+    "scan": _SPEC_MODULES,
+    "seminorm": _SPEC_MODULES,
+}
+
+
+def _load(command):
+    """Import the modules `command` runs and bind them here, where the
+    handlers find them; every module when `command` names no subcommand."""
+    for name in _MODULES.get(command, _SPEC_MODULES):
+        globals()[name] = import_module(f".{name}", __package__)
+
+
+# The command is read from sys.argv. Where sys.argv[1] names none (-h, a test
+# run, perfbench's traced_cli, which wraps functions in every module after
+# this import), every module is loaded; main loads its command's in any case.
+_load(sys.argv[1] if len(sys.argv) > 1 else None)
+
 from .errors import FormatError
-from .grids import Bump, GridDomain
+from .grids import _MAX_CORNER_VALUES, Bump, GridDomain
 
 import argparse
 import json
@@ -55,10 +82,10 @@ def _vector(text):
 def _grid(text) -> GridDomain:
     lo, hi, shape = text.split(":")
     domain = GridDomain(_vector(lo), _vector(hi), [int(v) for v in shape.split(",")])
-    if domain.size > gw._MAX_CORNER_VALUES:  # before any command allocates it
+    if domain.size > _MAX_CORNER_VALUES:  # before any command allocates it
         # too large for memory (exit 3), not a bad value (a ValueError, exit 2)
         raise MemoryError(f"a grid of {domain.size} cells exceeds the work budget of "
-                          f"{gw._MAX_CORNER_VALUES} cells")
+                          f"{_MAX_CORNER_VALUES} cells")
     return domain
 
 
@@ -236,6 +263,7 @@ def build_parser(command=None):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _load(args.command)
     report_out = vars(args).pop("report_out", None)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
@@ -251,8 +279,7 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (ValueError, TypeError, ArithmeticError, MemoryError,
-            np.linalg.LinAlgError) as err:
+    except (ValueError, TypeError, ArithmeticError, MemoryError) as err:  # LinAlgError included
         sys.stderr.write(f"error: {err}\n")
         return 3
 

@@ -11,6 +11,13 @@ import numpy as np
 
 from .errors import DomainExceeded
 
+# The work budget, in floats: 2^27, 1 GiB. The CLI refuses a --grid of more
+# cells before any command allocates it. gw refuses a pairing or a
+# polarization of more corner rows x cells, a scan of a spec with a callable
+# of more rows x cells x probes, and a scan that holds more floats
+# (gw._scan_floats); gw checks k rows, its tests' samples, before it takes them.
+_MAX_CORNER_VALUES = 1 << 27
+
 
 def _frozen(arr, dtype=float):
     out = np.array(arr, dtype=dtype)

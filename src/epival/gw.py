@@ -27,8 +27,8 @@ import numpy as np
 from .convex import (_by_rows, _curvature, _require_finite, _test_function,
                      central_hessian_at, extend_from_subdomain, is_discretely_convex)
 from .errors import ConvexityViolation, DomainExceeded, StepAgreementError
-from .grids import (ExtGridFn, GridDomain, ScanMask, _bounding_window, _bump_values, _dilate,
-                    _Immutable, _interpolation_corners, _product_points)
+from .grids import (_MAX_CORNER_VALUES, ExtGridFn, GridDomain, ScanMask, _bounding_window,
+                    _bump_values, _dilate, _Immutable, _interpolation_corners, _product_points)
 from .sampling import random_convex_fn
 from .valuations import (Constant, HessianDensity, PairingMeasure, _evaluate_stack, _leaves,
                          _read_mask, evaluate, grid_domain, mixed_determinant)
@@ -48,17 +48,6 @@ _EPS = np.finfo(float).eps
 _MAX_ORDER = 16
 
 
-# The most corner values one pairing, polarization or scan may take: corner
-# rows x cells x probes, where a scan counts each probe's corner rows on
-# its window, the values a probe stands for whether its corners are
-# correlated or, for a callable, evaluated. It is checked before any corner
-# is built, and gw checks k rows, its tests' samples, before it takes them.
-# polarize, gw and a callable's scan hold one convex._BLOCK of corners at a
-# time, or one corner (two rows in gw, one probe in a scan) where that
-# takes more.
-_MAX_CORNER_VALUES = 1 << 27
-
-
 def _check_order(k):
     if k > _MAX_ORDER:
         raise ValueError(f"k must be at most {_MAX_ORDER}")
@@ -66,10 +55,25 @@ def _check_order(k):
 
 def _check_work(rows, cells, probes=1):
     """Refuse `rows` corner rows of `cells` cells for each of `probes`
-    probes when they exceed _MAX_CORNER_VALUES."""
+    probes over the work budget, before any corner is built. polarize, gw
+    and a callable's scan then hold one convex._BLOCK of corners at a time,
+    or one corner (two rows in gw, one probe in a scan) where that takes
+    more."""
     if rows * cells * probes > _MAX_CORNER_VALUES:
         raise ValueError(f"{rows} corner rows of {cells} cells for {probes} probe(s) exceed "
                          f"the work budget of {_MAX_CORNER_VALUES} values")
+
+
+def _scan_floats(k, box, cells, ndim):
+    """Floats a support scan holds at its peak, at most, for order k, a
+    template of `box` cells and a grid of `cells` in n = ndim dimensions.
+    For each of its 2k corner rows (k corners at steps h and h/2): per box
+    cell, the template's corners, five stencil reads of them and 4 n^2
+    entries of Hessians and kernels (_probe_changes); per grid cell, three
+    copies of the corner values (their sum, a term's correlation and its
+    scaled copy). Besides, per grid cell, 2 n^2 floats of a term's data
+    grids and 12 of the base |x|^2 and its checks."""
+    return 2 * k * ((6 + 4 * ndim**2) * box + 3 * cells) + (2 * ndim**2 + 12) * cells
 
 
 class GWQuery(_Immutable):
@@ -318,10 +322,16 @@ def support_scan(spec, k: int, probe_radius: float, tol: float = 1e-6,
     leaves = _leaves(spec)
     shape = np.array(dom.shape)
     half = shape
-    if not any(callable(s) for _, s in leaves):  # a bump vanishes beyond floor(r / spacing) cells
+    called = any(callable(s) for _, s in leaves)
+    if called:  # each probe's whole-grid rows, at steps h and h/2
+        _check_work(2 * k, dom.size, dom.size)
+    else:  # a bump vanishes beyond floor(r / spacing) cells
         half = np.minimum(np.floor(probe_radius / dom.spacing) + 2, shape).astype(int)
     window = [int(w) for w in np.minimum(2 * half + 1, shape)]
-    _check_work(2 * k, prod(window), dom.size)  # each probe at steps h and h/2
+    floats = _scan_floats(k, prod(2 * w - 1 for w in window), dom.size, dom.ndim)
+    if floats > _MAX_CORNER_VALUES:
+        raise ValueError(f"a scan of order {k} holding {floats} floats exceeds the work budget "
+                         f"of {_MAX_CORNER_VALUES} values")
     base_vals, base_value = _base(spec, dom)
     offsets = _product_points([np.arange(1 - w, w) * dx for w, dx in zip(window, dom.spacing)])
     template = _bump_values(offsets, np.zeros((1, dom.ndim)), probe_radius).reshape(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import FormatError
 from .grids import ExtGridFn, GridDomain, Polytope, ScanMask
-from .valuations import Composite, Constant, HessianDensity, PairingMeasure
 
 # Values per chunk of a streamed grid or mask file: 2^10. Writing a 257^2
 # grid peaks at 0.17 MB of traced memory (0.05 at 2^8, 0.63 at 2^12, 7.0 for
@@ -381,6 +380,9 @@ def _load_spec(path, stack, loaded):
 def _read_spec(path, stack, loaded):
     """The spec in the file at `path` and the depth of the composites nested
     in it (0 for a file that names no composite)."""
+    # imported here, so that a command that reads no spec compiles no valuations
+    from .valuations import Composite, Constant, HessianDensity, PairingMeasure
+
     obj = load_json(path)
     directory = os.path.dirname(path)
     if not isinstance(obj, dict) or "kind" not in obj:

@@ -996,8 +996,9 @@ def test_corners_over_the_work_budget_exit_3_before_they_are_built(tmp_path, cap
                                                                   monkeypatch, command):
     """k = 16 distinct tests, or a k = 16 scan on whole-grid windows, on a
     line of n cells: 2^16 or 2^17 corner rows of n cells, and for a scan
-    32 rows for each of n probes. n = 33 is within the budget; n = 4097 is
-    over it and is refused with one error line."""
+    about 750 n floats held (gw._scan_floats). n = 33 is within the budget;
+    n = 4097, 2^18 for a scan, is over it and is refused with one error
+    line."""
     def no_corners(*args, **kwargs):
         raise AssertionError("corners were built")
 
@@ -1020,11 +1021,35 @@ def test_corners_over_the_work_budget_exit_3_before_they_are_built(tmp_path, cap
     with pytest.raises(AssertionError, match="corners were built"):
         main(argv(33))
     capsys.readouterr()
-    assert main(argv(4097)) == 3
+    assert main(argv(1 << 18 if command == "scan" else 4097)) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "work budget" in err and err.count("\n") == 1
     assert not (tmp_path / "out.data").exists()
+
+
+def test_the_largest_scan_the_budget_admits_runs_within_1_5_gb(tmp_path, capsys):
+    """A k = 1 scan of a pairing on a line, with a probe of 2.5 cells'
+    radius (a template of 17 cells), holds at most 20 floats a cell by
+    gw._scan_floats: the budget admits about 6.7M cells. At that size the
+    CLI, capped at 1.5 GB, exits 0; one cell more is refused with exit 3
+    before anything is allocated for it."""
+    budget = epival.grids._MAX_CORNER_VALUES
+    n = next(n for n in range(budget // 20, 0, -1)
+             if epival.gw._scan_floats(1, 17, n, 1) <= budget)
+    write_mu1(tmp_path / "mu1.json")
+
+    def argv(cells):
+        return ["scan", "--spec", str(tmp_path / "mu1.json"), "--k", "1",
+                "--probe-radius", repr(2.5 * 4.0 / (cells - 1)), f"--grid=-2:2:{cells}",
+                "--out", str(tmp_path / "out.data")]
+
+    assert main(argv(n + 1)) == 3
+    assert "work budget" in capsys.readouterr().err
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv(n)], env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["marked_cells"] > 0
 
 
 GRID_1D ={"domain": {"lo": [-1.0], "hi": [1.0], "shape": [5]},
@@ -1148,6 +1173,64 @@ def test_import_of_the_cli_leaves_at_most_half_a_megabyte_traced():
     out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                          text=True, check=True).stdout
     assert int(out) <= 0.5 * 2**20
+
+
+# the epival modules each command runs, besides epival.cli, errors and grids
+_RUNS = {"transform": ["convex", "serialize"],
+         "decompose": ["convex", "serialize", "valuations"],
+         "embed": ["convex", "serialize", "valuations"]}
+_ALL_MODULES = ["convex", "gw", "sampling", "serialize", "valuations"]
+
+
+def _epival_modules(argv, code):
+    """The epival modules a child started with `argv` holds after `code`."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('epival.')))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code, *argv], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["transform", "decompose", "polarize", "gw", "scan",
+                                     "seminorm", "embed"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
+    """A command compiles and imports its own modules alone: transform
+    loads no gw, valuations or sampling."""
+    names = ["cli", "errors", "grids"] + _RUNS.get(command, _ALL_MODULES)
+    assert _epival_modules(_commands(tmp_path)[command], "from epival.cli import main\n"
+                           "assert main() == 0") == sorted(f"epival.{n}" for n in names)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["tests/test_cli.py"]])
+def test_the_cli_loads_every_module_without_a_command_in_argv(argv):
+    """A process whose sys.argv[1] names no subcommand, as a test run or
+    perfbench's traced_cli, which wraps functions in every module after
+    `import epival.cli`, finds every module loaded."""
+    assert _epival_modules(argv, "import epival.cli") == sorted(
+        f"epival.{n}" for n in ["cli", "errors", "grids"] + _ALL_MODULES)
+
+
+def test_main_loads_the_modules_of_its_own_command(tmp_path, capsys):
+    """main runs a gw command after the CLI was imported for a transform,
+    and prints what it prints in this process."""
+    argv = _commands(tmp_path)["gw"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    code = ("import sys\nfrom epival.cli import main\nassert 'epival.gw' not in sys.modules\n"
+            f"assert main({argv!r}) == 0")
+    out = subprocess.run([sys.executable, "-c", code, "transform"], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == want
+
+
+def test_a_linalg_error_in_a_command_exits_3(tmp_path, capsys, monkeypatch):
+    """numpy's LinAlgError is a ValueError: one error line, exit 3."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(serialize, "load_grid_fn", singular)
+    assert main(_commands(tmp_path)["transform"]) == 3
+    assert capsys.readouterr() == ("", "error: Singular matrix\n")
+    assert not (tmp_path / "out.data").exists()
 
 
 def _run(argv, capsys):

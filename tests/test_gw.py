@@ -476,6 +476,35 @@ def test_benchmark_sized_scans_allocate_at_most_200k_floats():
         assert peak_floats(lambda: support_scan(spec, k, 0.3, domain=d)) <= 200_000
 
 
+def test_a_33_cubed_hessian_scan_at_radius_0_3_is_within_the_budget():
+    """k = 3: 6 corner rows of a 2197-cell window for each of 35937 probes,
+    473M values, were refused as over the budget; the scan holds about 4M
+    floats by gw._scan_floats."""
+    d = GridDomain([-1.0] * 3, [1.0] * 3, [33] * 3)
+    mask = support_scan(random_spec("hessian", d, np.random.default_rng(1)), 3, 0.3, domain=d)
+    assert 0 < mask.count < d.size
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+@pytest.mark.parametrize("shape", [[129], [17, 17], [7, 7, 7]])
+def test_a_scan_holds_at_most_the_floats_its_budget_counts(kind, shape):
+    """The traced peak of scans with small and whole-grid templates stays
+    within gw._scan_floats, what the budget counts."""
+    d = GridDomain([-1.0] * len(shape), [1.0] * len(shape), shape)
+    spec = random_spec(kind, d, np.random.default_rng(2))
+
+    def scan():
+        try:
+            support_scan(spec, k, radius, domain=d)
+        except StepAgreementError:  # k above a term's degree, after every corner value
+            pass
+
+    for k, radius in ((1, 0.3), (4, 0.3), (2, 5.0)):
+        half = np.minimum(np.floor(radius / d.spacing) + 2, shape)
+        box = int(np.prod(2 * np.minimum(2 * half + 1, shape) - 1))
+        assert peak_floats(scan) <= epival.gw._scan_floats(k, box, d.size, d.ndim)
+
+
 def _gw_k3_3d():
     """A 17^3 Hessian density of order 3 and a query of three distinct bumps:
     14 whole-grid corner rows at steps h and h/2."""
